@@ -23,6 +23,8 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/nocalert.hpp"
 #include "fault/injector.hpp"
@@ -52,28 +54,6 @@ parseRouting(const std::string &name)
         return noc::RoutingAlgo::QAdaptive;
     NOCALERT_FATAL("unknown routing '", name,
                    "' (xy, yx, west-first, o1turn, qadaptive)");
-}
-
-noc::TrafficPattern
-parsePattern(const std::string &name)
-{
-    if (name == "uniform")
-        return noc::TrafficPattern::UniformRandom;
-    if (name == "transpose")
-        return noc::TrafficPattern::Transpose;
-    if (name == "bit-complement")
-        return noc::TrafficPattern::BitComplement;
-    if (name == "hotspot")
-        return noc::TrafficPattern::Hotspot;
-    if (name == "tornado")
-        return noc::TrafficPattern::Tornado;
-    if (name == "shuffle")
-        return noc::TrafficPattern::Shuffle;
-    if (name == "bit-reverse")
-        return noc::TrafficPattern::BitReverse;
-    if (name == "neighbor")
-        return noc::TrafficPattern::Neighbor;
-    NOCALERT_FATAL("unknown pattern '", name, "'");
 }
 
 int
@@ -126,13 +106,13 @@ parseFault(const std::string &spec)
 int
 main(int argc, char **argv)
 {
-    CommandLine cli(argc, argv,
-                    {"mesh", "width", "height", "vcs", "depth",
-                     "routing", "pattern", "rate", "cycles", "seed",
-                     "fault", "kind", "trace", "non-atomic",
-                     "speculative", "dense-kernel", "kernel",
-                     "phases", "burst", "phase-repeat", "trace-replay",
-                     "record-trace"});
+    std::vector<std::string> flags = {
+        "mesh", "width", "height", "vcs", "depth", "routing", "pattern",
+        "rate", "cycles", "seed", "fault", "kind", "trace", "non-atomic",
+        "speculative", "dense-kernel", "kernel", "record-trace"};
+    flags.insert(flags.end(), traffic::kWorkloadFlags.begin(),
+                 traffic::kWorkloadFlags.end());
+    const CommandLine cli(argc, argv, std::move(flags));
 
     noc::NetworkConfig config;
     config.width = static_cast<int>(
@@ -152,39 +132,16 @@ main(int argc, char **argv)
     const noc::Cycle cycles = cli.getInt("cycles", 5000);
     const auto seed = static_cast<std::uint64_t>(cli.getInt("seed", 1));
 
-    if (cli.has("phases") && cli.has("trace-replay"))
-        NOCALERT_FATAL("--phases and --trace-replay are mutually "
-                       "exclusive");
-    if (cli.has("burst") && !cli.has("phases"))
-        NOCALERT_FATAL("--burst requires a --phases program");
-
-    traffic::WorkloadSpec workload;
-    if (cli.has("phases")) {
-        workload.kind = traffic::WorkloadKind::Phased;
-        std::string error = traffic::parsePhaseProgram(
-            cli.getString("phases", ""), workload.phased);
-        if (!error.empty())
-            NOCALERT_FATAL("bad --phases: ", error);
-        if (cli.has("burst")) {
-            error = traffic::parseBurstSpec(cli.getString("burst", ""),
-                                            workload.phased.burst);
-            if (!error.empty())
-                NOCALERT_FATAL("bad --burst: ", error);
-        }
-        workload.phased.repeat = cli.getBool("phase-repeat", false);
-    } else if (cli.has("trace-replay")) {
-        workload.kind = traffic::WorkloadKind::Trace;
-        workload.trace.path = cli.getString("trace-replay", "");
-        std::string error;
-        if (!traffic::stampTraceSpec(workload.trace, &error))
-            NOCALERT_FATAL("bad --trace-replay: ", error);
-    } else {
-        noc::TrafficSpec traffic;
-        traffic.pattern =
-            parsePattern(cli.getString("pattern", "uniform"));
-        traffic.injectionRate = cli.getDouble("rate", 0.05);
-        workload = traffic::WorkloadSpec::fromSynthetic(traffic);
-    }
+    noc::TrafficSpec traffic;
+    const std::string pattern = cli.getString("pattern", "uniform");
+    if (auto parsed = noc::trafficPatternFromName(pattern))
+        traffic.pattern = *parsed;
+    else
+        NOCALERT_FATAL("unknown pattern '", pattern, "'");
+    traffic.injectionRate = cli.getDouble("rate", 0.05);
+    traffic::WorkloadSpec workload =
+        traffic::WorkloadSpec::fromSynthetic(traffic);
+    traffic::workloadFromCli(cli, workload);
     workload.setSeed(seed);
     workload.setStopCycle(cycles);
     {

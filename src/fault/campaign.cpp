@@ -309,9 +309,17 @@ FaultCampaign::runSingle(const CampaignConfig &config,
     result.invariants = log.distinctInvariants();
 
     if (fever) {
-        if (auto first = fever->firstDetection()) {
-            result.foreverDetected = true;
-            result.foreverLatency = *first - result.injectCycle;
+        // ForEVeR attaches at the warm snapshot, so with sampled cycle
+        // jitter an epoch check can fire before the injection: that
+        // alarm was raised on the fault-free network and says nothing
+        // about this fault.
+        for (const forever::ForeverAlert &alert : fever->alerts()) {
+            const noc::Cycle latency = alert.cycle - result.injectCycle;
+            if (latency >= 0 && (!result.foreverDetected ||
+                                 latency < result.foreverLatency)) {
+                result.foreverDetected = true;
+                result.foreverLatency = latency;
+            }
         }
     }
 

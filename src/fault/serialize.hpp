@@ -119,7 +119,8 @@ std::string writeCampaignJson(const CampaignResult &result);
 std::optional<CampaignResult> readCampaignJson(
     std::string_view text, std::string *error = nullptr);
 
-/** Write atomically (temp file + rename), false + *error on failure. */
+/** Write atomically and durably (writeFileAtomic), false + *error on
+ *  failure. */
 bool saveCampaignResult(const CampaignResult &result,
                         const std::string &path,
                         std::string *error = nullptr);

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "util/cli.hpp"
 #include "util/log.hpp"
 
 namespace nocalert::traffic {
@@ -308,6 +309,38 @@ parseBurstSpec(std::string_view text, BurstSpec &burst)
     }
     burst = parsed;
     return std::string();
+}
+
+void
+workloadFromCli(const CommandLine &cli, WorkloadSpec &workload)
+{
+    if (cli.has("phases") && cli.has("trace-replay"))
+        NOCALERT_FATAL("--phases and --trace-replay are mutually "
+                       "exclusive");
+    for (const char *flag : {"burst", "phase-repeat"}) {
+        if (cli.has(flag) && !cli.has("phases"))
+            NOCALERT_FATAL("--", flag, " requires a --phases program");
+    }
+    if (cli.has("phases")) {
+        workload.kind = WorkloadKind::Phased;
+        std::string error = parsePhaseProgram(cli.getString("phases", ""),
+                                              workload.phased);
+        if (!error.empty())
+            NOCALERT_FATAL("bad --phases: ", error);
+        if (cli.has("burst")) {
+            error = parseBurstSpec(cli.getString("burst", ""),
+                                   workload.phased.burst);
+            if (!error.empty())
+                NOCALERT_FATAL("bad --burst: ", error);
+        }
+        workload.phased.repeat = cli.getBool("phase-repeat", false);
+    } else if (cli.has("trace-replay")) {
+        workload.kind = WorkloadKind::Trace;
+        workload.trace.path = cli.getString("trace-replay", "");
+        std::string error;
+        if (!stampTraceSpec(workload.trace, &error))
+            NOCALERT_FATAL("bad --trace-replay: ", error);
+    }
 }
 
 PhasedGenerator::PhasedGenerator(const noc::NetworkConfig &config,

@@ -42,6 +42,10 @@
 #include "noc/traffic.hpp"
 #include "traffic/tracefile.hpp"
 
+namespace nocalert {
+class CommandLine;
+} // namespace nocalert
+
 namespace nocalert::traffic {
 
 /** Which backend drives the network. */
@@ -220,6 +224,21 @@ std::string parsePhaseProgram(std::string_view text, PhasedSpec &spec);
  * Returns an empty string on success, else an error naming the field.
  */
 std::string parseBurstSpec(std::string_view text, BurstSpec &burst);
+
+/** The flags workloadFromCli reads. */
+inline const std::vector<std::string> kWorkloadFlags = {
+    "phases", "burst", "phase-repeat", "trace-replay"};
+
+/**
+ * Apply the workload flags to @p workload: `--phases PROG` (with
+ * optional `--burst SPEC` and `--phase-repeat`) selects the phased
+ * backend, `--trace-replay FILE` the trace backend, stamped from the
+ * file. With neither, @p workload is left as it is. Malformed values,
+ * `--phases` with `--trace-replay`, and `--burst` or `--phase-repeat`
+ * without `--phases` are fatal, naming the flag. Seeds, stop cycles
+ * and cross-field validation stay with the caller.
+ */
+void workloadFromCli(const CommandLine &cli, WorkloadSpec &workload);
 
 /**
  * The phase-program backend. Counter-mode: the draws for (node,

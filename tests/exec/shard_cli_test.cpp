@@ -28,6 +28,9 @@
 #ifndef NOCALERT_SHARD_BIN
 #error "NOCALERT_SHARD_BIN must point at the campaign_shard binary"
 #endif
+#ifndef NOCALERT_FAULT_CAMPAIGN_BIN
+#error "NOCALERT_FAULT_CAMPAIGN_BIN must point at the fault_campaign binary"
+#endif
 
 namespace nocalert::fault {
 namespace {
@@ -40,6 +43,17 @@ shardExit(const std::string &arguments)
 {
     const std::string command = std::string(NOCALERT_SHARD_BIN) + " " +
                                 arguments + " >/dev/null 2>&1";
+    const int raw = std::system(command.c_str());
+    EXPECT_NE(raw, -1);
+    return WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
+}
+
+/** Run the fault_campaign CLI, discarding output; its exit status. */
+int
+faultCampaignExit(const std::string &arguments)
+{
+    const std::string command = std::string(NOCALERT_FAULT_CAMPAIGN_BIN) +
+                                " " + arguments + " >/dev/null 2>&1";
     const int raw = std::system(command.c_str());
     EXPECT_NE(raw, -1);
     return WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
@@ -230,6 +244,18 @@ TEST_F(ShardCli, SampledRunWithoutABoundIsAFatalError)
     EXPECT_EQ(shardExit("run --out " + out +
                         " --mesh 4 --sites 12 --sample"
                         " --ci-width 0 --max-runs 0"),
+              1);
+    EXPECT_FALSE(fs::exists(out));
+
+    // fault_campaign parses the same flags through the same front
+    // door, so it refuses the same way — and, like any bad flag value
+    // on either CLI, with exit status 1.
+    EXPECT_EQ(faultCampaignExit("--mesh 4 --sites 12 --sample"
+                                " --ci-width 0 --json " + out),
+              1);
+    EXPECT_EQ(faultCampaignExit("--mesh 4 --sites 12 --kind bogus"), 1);
+    EXPECT_EQ(shardExit("run --out " + out +
+                        " --mesh 4 --sites 12 --kind bogus"),
               1);
     EXPECT_FALSE(fs::exists(out));
 }

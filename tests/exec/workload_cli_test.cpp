@@ -131,6 +131,22 @@ TEST_F(WorkloadCli, BurstWithoutPhasesIsRejected)
     EXPECT_NE(out.status, 0);
     EXPECT_NE(out.text.find("--burst requires"), std::string::npos)
         << out.text;
+
+    // The campaign CLIs share the rule, and --phase-repeat without a
+    // program is refused the same way rather than silently dropped.
+    const CommandOutput shard_out =
+        shard("run --out " + path("x.json") +
+              " --mesh 4 --sites 2 --burst 64:0.5:2:0 --phase-repeat");
+    EXPECT_EQ(shard_out.status, 1);
+    EXPECT_NE(shard_out.text.find("--burst requires"), std::string::npos)
+        << shard_out.text;
+    EXPECT_FALSE(fs::exists(path("x.json")));
+    const CommandOutput repeat_out =
+        simulate("--mesh 4 --cycles 200 --phase-repeat");
+    EXPECT_NE(repeat_out.status, 0);
+    EXPECT_NE(repeat_out.text.find("--phase-repeat requires"),
+              std::string::npos)
+        << repeat_out.text;
 }
 
 TEST_F(WorkloadCli, PhasesAndTraceReplayAreMutuallyExclusive)

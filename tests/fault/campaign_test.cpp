@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/serialize.hpp"
+#include "forever/forever.hpp"
+
 namespace nocalert::fault {
 namespace {
 
@@ -247,6 +250,55 @@ TEST(Campaign, ForeverCanBeDisabled)
         EXPECT_FALSE(run.foreverDetected);
         EXPECT_EQ(run.foreverLatency, kNoDetection);
     }
+}
+
+TEST(Campaign, ForeverAlarmsBeforeTheInjectionAreNotDetections)
+{
+    // A phase shift under ForEVeR's epoch check raises alarms on the
+    // fault-free network; with the injection jittered past the first
+    // epoch boundary, such an alarm predates the fault.
+    CampaignConfig config = smallCampaign();
+    config.workload.kind = traffic::WorkloadKind::Phased;
+    ASSERT_EQ(traffic::parsePhaseProgram(
+                  "0:200:uniform:0.02,200:400:transpose:0.2",
+                  config.workload.phased),
+              "");
+    config.workload.phased.repeat = true;
+    config.workload.setSeed(13);
+    config.workload.setStopCycle(config.warmup + config.observeWindow);
+    config.forever.epochLength = 200;
+    const noc::Cycle offset = 2 * config.forever.epochLength;
+
+    noc::Network base(config.network, config.workload);
+    base.run(config.warmup);
+    noc::Network golden(base);
+    golden.run(config.observeWindow);
+    ASSERT_TRUE(golden.drain(config.drainLimit));
+    const GoldenReference reference(golden.collectEjections());
+
+    // The premise: fault-free, ForEVeR alarms before the injection.
+    noc::Network probe(base);
+    const forever::ForeverModel model(probe, config.forever);
+    probe.run(offset);
+    ASSERT_TRUE(model.firstDetection().has_value());
+
+    FaultSite site;
+    site.router = 5;
+    site.signal = SignalClass::Sa2Grant;
+    site.port = noc::portIndex(noc::Port::East);
+    const FaultRunResult run =
+        FaultCampaign::runSingle(config, base, reference, site, offset);
+    EXPECT_EQ(run.injectCycle, config.warmup + offset);
+    if (run.foreverDetected)
+        EXPECT_GE(run.foreverLatency, 0);
+    else
+        EXPECT_EQ(run.foreverLatency, kNoDetection);
+
+    // The record reads back (the reader rejects a detection with a
+    // negative latency).
+    std::string error;
+    EXPECT_TRUE(faultRunFromJson(toJson(run), &error).has_value())
+        << error;
 }
 
 } // namespace

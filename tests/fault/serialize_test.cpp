@@ -471,6 +471,26 @@ TEST(Sharding, MergedShardsAreBitIdenticalToUnshardedRun)
     EXPECT_EQ(writeCampaignJson(*merged), writeCampaignJson(whole));
 }
 
+TEST(Sharding, MergedSampledShardKeepsSamplerCompletion)
+{
+    // Sampled campaigns are single-shard; merging that shard must
+    // reproduce it, completion flag included.
+    CampaignConfig config = tinyCampaign();
+    config.sampling.enabled = true;
+    config.sampling.ciHalfWidth = 0.0;
+    config.sampling.maxRuns = 8;
+    config.sampling.batchSize = 8;
+    const CampaignResult whole = FaultCampaign(config).run();
+    ASSERT_TRUE(whole.complete());
+
+    std::string error;
+    auto merged = mergeCampaignShards({&whole, 1}, &error);
+    ASSERT_TRUE(merged.has_value()) << error;
+    EXPECT_TRUE(merged->samplerDone);
+    EXPECT_TRUE(merged->complete());
+    EXPECT_EQ(writeCampaignJson(*merged), writeCampaignJson(whole));
+}
+
 TEST(Sharding, MergeRejectsBadShardSets)
 {
     CampaignConfig config = tinyCampaign();

@@ -15,6 +15,7 @@
 
 #include <filesystem>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/nocalert.hpp"
@@ -216,13 +217,18 @@ INSTANTIATE_TEST_SUITE_P(
         return info.param.name;
     });
 
+// gtest names each case after the raw bytes of its parameter, so the
+// name is stored inline and the layout has no padding: the bytes (and
+// with them the test names) hold no address and nothing uninitialised.
 struct SplitCase
 {
-    const char *name;
-    Cycle split;
+    char name[14];
     bool burst;
     bool trace;
+    Cycle split;
 };
+static_assert(std::has_unique_object_representations_v<SplitCase>,
+              "SplitCase must have no padding bytes");
 
 class WorkloadSnapshotProperty : public testing::TestWithParam<SplitCase>
 {
@@ -272,12 +278,12 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Values(
         // Mid-first-phase, inside the idle gap, mid-second-phase,
         // and inside the hotspot tail — for both backends.
-        SplitCase{"phase0", 90, false, false},
-        SplitCase{"gap", 200, false, false},
-        SplitCase{"phase1", 300, true, false},
-        SplitCase{"hotspot", 500, false, false},
-        SplitCase{"trace_mid", 130, false, true},
-        SplitCase{"trace_gap", 210, true, true}),
+        SplitCase{"phase0", false, false, 90},
+        SplitCase{"gap", false, false, 200},
+        SplitCase{"phase1", true, false, 300},
+        SplitCase{"hotspot", false, false, 500},
+        SplitCase{"trace_mid", false, true, 130},
+        SplitCase{"trace_gap", true, true, 210}),
     [](const testing::TestParamInfo<SplitCase> &info) {
         return info.param.name;
     });

@@ -156,6 +156,25 @@ TEST_F(ServeCli, ServedArtifactIsByteIdenticalToTheBatchCli)
     ASSERT_FALSE(served.empty());
     EXPECT_EQ(served, reference)
         << "the service must reproduce the batch CLI byte for byte";
+
+    // The same holds for a workload only the shared campaign flags
+    // can describe: a bursty phase program.
+    const std::string phased = std::string(kCampaignFlags) +
+                               " --phases 0:60:uniform:0.05,60:120:"
+                               "transpose:0.08 --burst 32:0.5:2:0.25"
+                               " --phase-repeat";
+    ASSERT_EQ(exitStatus(client("submit") + " " + phased +
+                         " --wait --out " + path("served_phased.json") +
+                         " 2> " + path("client.log")),
+              0)
+        << readFile(dir_ / "client.log");
+    ASSERT_EQ(exitStatus(std::string(NOCALERT_SHARD_BIN) + " run " +
+                         phased + " --jobs 1 --out " +
+                         path("ref_phased.json") + " >/dev/null 2>&1"),
+              0);
+    const std::string served_phased = readFile(dir_ / "served_phased.json");
+    EXPECT_NE(served_phased.find("\"phased\""), std::string::npos);
+    EXPECT_EQ(served_phased, readFile(dir_ / "ref_phased.json"));
 }
 
 TEST_F(ServeCli, RepeatedSubmissionIsACacheHit)
@@ -191,6 +210,10 @@ TEST_F(ServeCli, ExitCodeContract)
     EXPECT_EQ(exitStatus(client("ping") + " >/dev/null 2>&1"), 0);
     // 1: the server answers with a typed error.
     EXPECT_EQ(exitStatus(client("status") + " no-such-campaign"
+                                            " >/dev/null 2>&1"),
+              1);
+    // 1: a campaign nothing would stop is refused before submission.
+    EXPECT_EQ(exitStatus(client("submit") + " --sample --ci-width 0"
                                             " >/dev/null 2>&1"),
               1);
     // 2: usage (no socket).
