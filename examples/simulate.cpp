@@ -7,8 +7,8 @@
  * --trace) the event window around the injection.
  *
  *   ./simulate --mesh 8 --vcs 4 --routing xy --pattern uniform \
- *              --rate 0.05 --cycles 5000 \
- *              [--fault r36:Sa2Grant:E:2] [--trace]
+ *              --rate 0.05 --cycles 5000 [--kernel dense|bitmask] \
+ *              [--fault r36:Sa2Grant:E:2 [--kind permanent]] [--trace]
  *
  * Workload backends beyond the stationary synthetic default:
  *
@@ -161,21 +161,22 @@ main(int argc, char **argv)
                     static_cast<long long>(cycles), path.c_str());
     }
 
+    const std::string kind_name = cli.getString("kind", "transient");
+    const auto kind = fault::faultKindFromName(kind_name);
+    if (!kind)
+        NOCALERT_FATAL("unknown --kind '", kind_name,
+                       "' (transient|permanent|intermittent)");
+
     noc::Network network(config, workload);
-    // --kernel dense|active|bitmask selects the simulation kernel;
+    // --kernel dense|bitmask selects the simulation kernel;
     // --dense-kernel is the historical spelling of --kernel dense.
     const std::string kernel = cli.getBool("dense-kernel", false)
                                    ? "dense"
                                    : cli.getString("kernel", "bitmask");
     if (kernel == "dense")
         network.setKernelMode(noc::KernelMode::Dense);
-    else if (kernel == "active")
-        network.setKernelMode(noc::KernelMode::Active);
-    else if (kernel == "bitmask")
-        network.setKernelMode(noc::KernelMode::Bitmask);
-    else
-        NOCALERT_FATAL("unknown --kernel '", kernel,
-                       "' (dense|active|bitmask)");
+    else if (kernel != "bitmask")
+        NOCALERT_FATAL("unknown --kernel '", kernel, "' (dense|bitmask)");
     core::NoCAlertEngine engine(network);
 
     recovery::RecoveryController controller;
@@ -194,13 +195,7 @@ main(int argc, char **argv)
     if (cli.has("fault")) {
         const fault::FaultSite site =
             parseFault(cli.getString("fault", ""));
-        fault::FaultKind kind = fault::FaultKind::Transient;
-        const std::string kind_name = cli.getString("kind", "transient");
-        if (kind_name == "permanent")
-            kind = fault::FaultKind::Permanent;
-        else if (kind_name == "intermittent")
-            kind = fault::FaultKind::Intermittent;
-        injector.arm({site, inject_at, kind});
+        injector.arm({site, inject_at, *kind});
         injector.attach(network);
         std::printf("armed %s fault at cycle %lld: %s\n", kind_name.c_str(),
                     static_cast<long long>(inject_at),

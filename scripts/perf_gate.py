@@ -3,15 +3,15 @@
 
 Compares a freshly measured micro_kernel sweep against the committed
 baseline sweep rate by rate. Raw wall-clock numbers are useless across
-CI machines, so the gate compares *speedup ratios* — active-vs-dense
-("speedup") and bitmask-vs-active ("bitmaskSpeedup") — which are
+CI machines, so the gate compares the *speedup ratio* bitmask-vs-dense
+("bitmaskVsDense": dense best time / bitmask best time), which is
 dimensionless and measured within a single process on one machine.
 
 The gate fails when:
-  * any kernel pair ever disagreed ("identical" false anywhere), or
-  * at any rate present in both sweeps, a fresh speedup falls below
+  * the kernels ever disagreed ("identical" false anywhere), or
+  * at any rate present in both sweeps, the fresh speedup falls below
     (1 - tolerance) * baseline speedup, or
-  * a rate or speedup key present in the baseline is missing fresh
+  * a rate of the baseline, or its speedup key, is missing fresh
     (a silently dropped kernel must not pass).
 
 --self-test proves the gate can actually fail: it doctors the
@@ -29,7 +29,7 @@ import copy
 import json
 import sys
 
-SPEEDUP_KEYS = ("speedup", "bitmaskSpeedup")
+SPEEDUP_KEY = "bitmaskVsDense"
 
 
 def load(path):
@@ -55,26 +55,23 @@ def gate(baseline, fresh, tolerance):
             continue
         if not fresh_entry.get("identical", False):
             failures.append(f"rate {rate}: kernels disagreed")
-        for key in SPEEDUP_KEYS:
-            if key not in base_entry:
-                continue  # baseline predates this kernel
-            if key not in fresh_entry:
-                failures.append(f"rate {rate}: '{key}' missing from "
-                                "fresh sweep")
-                continue
-            base_val = base_entry[key]
-            fresh_val = fresh_entry[key]
-            floor = base_val * (1.0 - tolerance)
-            verdict = "ok" if fresh_val >= floor else "REGRESSION"
-            print(f"rate {rate}: {key} fresh {fresh_val:.2f}x vs "
-                  f"baseline {base_val:.2f}x (floor {floor:.2f}x) "
-                  f"[{verdict}]")
-            if fresh_val < floor:
-                failures.append(
-                    f"rate {rate}: {key} regressed to {fresh_val:.2f}x, "
-                    f"below {floor:.2f}x "
-                    f"(baseline {base_val:.2f}x - {tolerance:.0%})")
-            compared += 1
+        if SPEEDUP_KEY not in fresh_entry:
+            failures.append(f"rate {rate}: '{SPEEDUP_KEY}' missing from "
+                            "fresh sweep")
+            continue
+        base_val = base_entry[SPEEDUP_KEY]
+        fresh_val = fresh_entry[SPEEDUP_KEY]
+        floor = base_val * (1.0 - tolerance)
+        verdict = "ok" if fresh_val >= floor else "REGRESSION"
+        print(f"rate {rate}: {SPEEDUP_KEY} fresh {fresh_val:.2f}x vs "
+              f"baseline {base_val:.2f}x (floor {floor:.2f}x) "
+              f"[{verdict}]")
+        if fresh_val < floor:
+            failures.append(
+                f"rate {rate}: {SPEEDUP_KEY} regressed to "
+                f"{fresh_val:.2f}x, below {floor:.2f}x "
+                f"(baseline {base_val:.2f}x - {tolerance:.0%})")
+        compared += 1
     if compared == 0:
         failures.append("no comparable (rate, speedup) pairs between "
                         "baseline and fresh sweeps")
@@ -92,9 +89,7 @@ def self_test(baseline, tolerance):
 
     slow = copy.deepcopy(baseline)
     for entry in slow["sweep"]:
-        for key in SPEEDUP_KEYS:
-            if key in entry:
-                entry[key] *= (1.0 - tolerance) * 0.5
+        entry[SPEEDUP_KEY] *= (1.0 - tolerance) * 0.5
     if not gate(baseline, slow, tolerance):
         print("self-test FAILED: injected slowdown was not rejected")
         return 1

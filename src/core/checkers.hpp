@@ -66,7 +66,7 @@ void evaluateCheckers(const noc::Router &router,
                       bool use_quiescence_shortcut = true);
 
 /**
- * One-shot certificate behind the active-set kernel and the checker
+ * One-shot certificate behind the bitmask kernel and the checker
  * shortcut: evaluate a fresh (reset-state) router of @p config with no
  * link inputs and assert that (a) it stays quiescent, (b) its wires
  * satisfy the quiescence predicates, (c) it drives no link outputs,

@@ -10,7 +10,7 @@ NoCAlertEngine::NoCAlertEngine(noc::Network &network, bool attach_now)
     ctx_.config = &network.config();
     ctx_.routing = &network.routing();
 
-    // Certify the quiescence invariant the active-set kernel and the
+    // Certify the quiescence invariant the bitmask kernel and the
     // checker shortcut rely on for this configuration (aborts if a
     // quiescent router could ever raise or drive anything).
     verifyQuiescentInvariant(network.config());

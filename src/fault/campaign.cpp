@@ -197,12 +197,11 @@ FaultCampaign::runSingle(const CampaignConfig &config,
     if (config.runForever)
         fever.emplace(net, config.forever, /*attach_now=*/false);
 
-    // ForEVeR's allocation comparator inspects every non-quiescent
-    // router's wires each cycle; the bitmask fast path never
-    // materialises RouterWires, so those runs take the classic path.
-    if (fever && net.kernelMode() == noc::KernelMode::Bitmask)
-        net.setKernelMode(noc::KernelMode::Active);
-
+    // ForEVeR's allocation comparator sees only branchy-path routers'
+    // wires. That loses nothing: the fast path commits a router only
+    // when its arbiters produced clean grants (within the requests,
+    // one-hot), which the comparator cannot flag, and the injected
+    // router is pinned to the branchy path for the whole run.
     net.setPackedObserver([&](const noc::Router &router,
                               const noc::PackedCycleEvents &ev) {
         engine.observePacked(router, ev);

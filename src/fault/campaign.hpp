@@ -202,7 +202,7 @@ struct CampaignConfig
 
     /**
      * Escape hatch: run every simulation on the dense kernel instead
-     * of the active-set kernel. Results are bit-identical either way
+     * of the bitmask kernel. Results are bit-identical either way
      * (the kernel-equivalence tests assert it); use this to
      * cross-check a suspect campaign or to time the dense baseline.
      */

@@ -41,6 +41,14 @@ constexpr const char *kFlags[][2] = {
     {"trace-replay F", "replay a recorded injection trace"},
 };
 
+/** The flag name of a kFlags usage string ("  ci-width W" -> "ci-width"). */
+std::string_view
+flagName(std::string_view usage)
+{
+    const std::size_t begin = usage.find_first_not_of(' ');
+    return usage.substr(begin, usage.find(' ', begin) - begin);
+}
+
 /** Overwrite @p field with the value of --@p flag when it is given. */
 template <typename T>
 void
@@ -74,11 +82,8 @@ named(const CommandLine &cli, const char *flag, E fallback,
 std::vector<std::string>
 withCampaignFlags(std::vector<std::string> own)
 {
-    for (const auto &[usage, help] : kFlags) {
-        const std::string_view flag = usage;
-        const std::size_t begin = flag.find_first_not_of(' ');
-        own.emplace_back(flag.substr(begin, flag.find(' ', begin) - begin));
-    }
+    for (const auto &[usage, help] : kFlags)
+        own.emplace_back(flagName(usage));
     return own;
 }
 
@@ -133,8 +138,18 @@ campaignConfigFromCli(const CommandLine &cli, CampaignConfig defaults)
 
     SamplingSpec &sampling = config.sampling;
     apply(cli, "sample", sampling.enabled);
-    if (!sampling.enabled)
+    if (!sampling.enabled) {
+        // The rows indented under --sample configure the sampler and
+        // mean nothing without it: refuse them rather than drop them.
+        bool under_sample = false;
+        for (const auto &[usage, help] : kFlags) {
+            if (usage[0] != ' ')
+                under_sample = flagName(usage) == "sample";
+            else if (under_sample && cli.has(std::string(flagName(usage))))
+                NOCALERT_FATAL("--", flagName(usage), " requires --sample");
+        }
         return config;
+    }
     apply(cli, "ci-width", sampling.ciHalfWidth);
     apply(cli, "max-runs", sampling.maxRuns);
     apply(cli, "batch", sampling.batchSize);

@@ -36,7 +36,7 @@ FaultInjector::attach(noc::Network &network)
     network.setTapHook(hook());
 
     // The hook only ever acts on the armed routers; narrow the tap
-    // focus so the active-set kernel may still skip the rest, while
+    // focus so the bitmask kernel may still skip the rest, while
     // the armed routers evaluate every cycle — a transient scheduled
     // on an idle router fires at exactly its configured cycle.
     std::vector<noc::NodeId> armed;

@@ -95,7 +95,7 @@ class NetworkInterface
     /**
      * True iff nothing is queued, streaming, or awaiting an end-to-end
      * ACK. Pending retransmission state keeps the NI non-idle so the
-     * active-set kernel evaluates it every cycle (retry timers must
+     * bitmask kernel evaluates it every cycle (retry timers must
      * fire on schedule) and drain() waits for retransmission closure.
      */
     bool idle() const
@@ -107,7 +107,7 @@ class NetworkInterface
     void evaluate(Cycle cycle, LinkIo &io);
 
     /**
-     * Credit-only fast path for the active-set kernel: apply credits
+     * Credit-only fast path for the bitmask kernel: apply credits
      * returning from the router (@p credit_in, per-VC mask) to an
      * idle NI without evaluating it. For an idle NI with no arriving
      * flit this is the only state change evaluate() would make —

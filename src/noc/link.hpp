@@ -38,7 +38,7 @@ struct Link
      * True iff anything is in flight on either channel. A non-busy
      * link carries no information: ticking it is a no-op apart from
      * refreshing the (never observed) stale flit payload, which is
-     * what lets the active-set kernel skip it.
+     * what lets the bitmask kernel skip it.
      */
     bool
     busy() const

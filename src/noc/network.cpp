@@ -111,12 +111,6 @@ Network::recomputeLiveness()
 }
 
 void
-Network::forceRouterActive(NodeId node)
-{
-    force_active_[static_cast<std::size_t>(node)] = 1;
-}
-
-void
 Network::setTapFocus(const std::vector<NodeId> &nodes)
 {
     tap_force_all_ = false;
@@ -176,9 +170,9 @@ Router &
 Network::router(NodeId node)
 {
     // The caller may mutate architectural state behind the kernel's
-    // back; drop the router's quiescence certificate so the active
-    // kernel re-evaluates it, and its packed mirror so the bitmask
-    // kernel rebuilds before trusting the masks.
+    // back; drop the router's quiescence certificate so the bitmask
+    // kernel re-evaluates it, and its packed mirror so the fast path
+    // rebuilds before trusting the masks.
     router_live_[static_cast<std::size_t>(node)] = 1;
     packed_[static_cast<std::size_t>(node)].stale = true;
     return routers_[static_cast<std::size_t>(node)];
@@ -211,9 +205,6 @@ Network::step()
         break;
     case KernelMode::Bitmask:
         stepBitmask();
-        break;
-    case KernelMode::Active:
-        stepActive();
         break;
     }
 }
@@ -303,140 +294,6 @@ Network::stepDense()
 }
 
 void
-Network::stepActive()
-{
-    const int nodes = config_.numNodes();
-    const int lp = portIndex(Port::Local);
-
-    // ---- Network interfaces ----
-    //
-    // An NI whose queue is empty, that is not streaming, and whose
-    // links carry neither a flit nor a credit cannot change state or
-    // drive outputs; its wires would show no injection, no ejection
-    // and zero anomalies, so skipping evaluation (and its observer) is
-    // unobservable. An idle NI woken only by returning credits takes
-    // the credit fast path (NetworkInterface::applyCreditIncrements)
-    // instead of a full evaluation. Workload draws are skipped only
-    // on cycles where no node can fire (see WorkloadGenerator::idleAt:
-    // a permanent stop for the synthetic backend, whose sequential
-    // streams must stay aligned with a dense run while they still
-    // matter; any idle segment or gap for the counter-mode phased and
-    // trace backends, which keep no sequential stream state).
-    const bool idle = traffic_.idleAt(cycle_);
-    for (NodeId n = 0; n < nodes; ++n) {
-        std::optional<Packet> pkt;
-        if (!idle)
-            pkt = traffic_.generate(config_, n, cycle_);
-
-        Link &inj = links_[static_cast<std::size_t>(inLinkIndex(n, lp))];
-        Link &ejc = links_[static_cast<std::size_t>(outLinkIndex(n, lp))];
-        NetworkInterface &ni = nis_[static_cast<std::size_t>(n)];
-
-        const bool active =
-            pkt.has_value() || !ni.idle() || ejc.recvValid;
-        if (pkt)
-            ni.enqueue(*pkt);
-        if (!active) {
-            if (inj.creditRecv != 0)
-                ni.applyCreditIncrements(inj.creditRecv);
-            continue;
-        }
-
-        NetworkInterface::LinkIo io;
-        io.inValid = ejc.recvValid;
-        io.inFlit = ejc.recvFlit;
-        io.creditIn = inj.creditRecv;
-
-        ni.evaluate(cycle_, io);
-        ++ni_evals_;
-
-        if (io.outValid) {
-            inj.sendValid = true;
-            inj.sendFlit = io.outFlit;
-        }
-        ejc.creditSend |= io.creditOut;
-
-        if (ni_observer_)
-            ni_observer_(ni, ni.wires());
-    }
-
-    // ---- Routers ----
-    //
-    // A quiescent router (Router::quiescent) with no arriving flit and
-    // no arriving credit performs no state transition and drives no
-    // output; its checkers see all-zero wires (the start-up invariant
-    // core::verifyQuiescentInvariant certifies they pass trivially).
-    // Such routers are skipped until a link wakes them; a quiescent
-    // router woken *only* by returning credits takes the credit fast
-    // path (Router::applyCreditIncrements) and stays out of the
-    // active set. Pins override: a tap hook may inject a fault into
-    // an otherwise idle router.
-    Router::Context ctx{&config_, routing_.get()};
-    const bool hook_all = tap_force_all_ && tap_hook_;
-    for (NodeId n = 0; n < nodes; ++n) {
-        const std::size_t idx = static_cast<std::size_t>(n);
-
-        Router::LinkIo io;
-        bool flit_in = false;
-        std::uint32_t credit_any = 0;
-        for (int p = 0; p < kNumPorts; ++p) {
-            const int li = inLinkIndex(n, p);
-            if (li >= 0) {
-                const Link &link = links_[static_cast<std::size_t>(li)];
-                io.inValid[p] = link.recvValid;
-                io.inFlit[p] = link.recvFlit;
-                flit_in |= link.recvValid;
-            }
-            const int lo = outLinkIndex(n, p);
-            if (lo >= 0) {
-                io.creditIn[p] =
-                    links_[static_cast<std::size_t>(lo)].creditRecv;
-                credit_any |= io.creditIn[p];
-            }
-        }
-
-        if (!flit_in && !router_live_[idx] && !force_active_[idx] &&
-            !hook_all) {
-            if (credit_any != 0)
-                routers_[idx].applyCreditIncrements(io.creditIn);
-            continue;
-        }
-
-        Router &router = routers_[idx];
-        router.evaluate(ctx, cycle_, io,
-                        tap_hook_ ? &tap_hook_ : nullptr);
-        ++router_evals_;
-        router_live_[idx] = router.quiescent() ? 0 : 1;
-
-        for (int p = 0; p < kNumPorts; ++p) {
-            const int lo = outLinkIndex(n, p);
-            if (lo >= 0 && io.outValid[p]) {
-                Link &link = links_[static_cast<std::size_t>(lo)];
-                link.sendValid = true;
-                link.sendFlit = io.outFlit[p];
-            }
-            const int li = inLinkIndex(n, p);
-            if (li >= 0)
-                links_[static_cast<std::size_t>(li)].creditSend |=
-                    io.creditOut[p];
-        }
-
-        if (router_observer_)
-            router_observer_(router, router.wires());
-    }
-
-    // ---- Links advance (idle links carry nothing to move) ----
-    for (Link &link : links_)
-        if (link.busy())
-            link.tick();
-
-    ++cycle_;
-
-    if (cycle_observer_)
-        cycle_observer_(*this);
-}
-
-void
 Network::stepBitmask()
 {
     const int nodes = config_.numNodes();
@@ -510,10 +367,15 @@ Network::stepBitmask()
         io_flags_cycle_ = cycle_;
     }
 
-    // ---- Network interfaces: identical to the active kernel ----
-    // (same skip predicate, same credit fast path, same RNG draws, so
-    // the workload streams stay aligned with an active run; the flag
-    // bits stand in for the link loads the active kernel does).
+    // ---- Network interfaces ----
+    // An idle NI with no arriving flit cannot change state or drive
+    // outputs (its wires would show nothing), so it is skipped with
+    // its observer; one woken only by returning credits takes the
+    // credit fast path (NetworkInterface::applyCreditIncrements).
+    // Workload draws are skipped only on cycles where no node can
+    // fire (WorkloadGenerator::idleAt), so the synthetic backend's
+    // sequential streams stay aligned with a dense run while they
+    // still matter. The flag bits stand in for the NI link loads.
     const bool idle = traffic_.idleAt(cycle_);
     for (NodeId n = 0; n < nodes; ++n) {
         std::optional<Packet> pkt;
@@ -562,12 +424,16 @@ Network::stepBitmask()
     }
 
     // ---- Routers: active-set scheduling + packed fast path ----
-    // Scheduling (skip / credit fast path / evaluate) is exactly the
-    // active kernel's. An evaluated router tries the struct-of-arrays
-    // fast path unless it is pinned (tap hooks and forced-active
-    // routers need the wire record and tap delivery, so they always
-    // take the branchy pipeline); a rejected screen falls back to the
-    // branchy pipeline with the full checker bank.
+    // A quiescent router (Router::quiescent) with no arriving flit
+    // performs no state transition, drives no output, and its checkers
+    // would see all-zero wires (core::verifyQuiescentInvariant
+    // certifies they pass), so it is skipped; one woken only by
+    // returning credits takes the credit fast path
+    // (Router::applyCreditIncrements). An evaluated router tries the
+    // struct-of-arrays fast path unless it is pinned (tap hooks and
+    // forced-active routers need the wire record and tap delivery);
+    // pinned routers and rejected screens take the branchy pipeline
+    // with the full checker bank.
     Router::Context ctx{&config_, routing_.get()};
     const bool hook_all = tap_force_all_ && tap_hook_;
     PackedCycleEvents ev;

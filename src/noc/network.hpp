@@ -33,43 +33,45 @@
 namespace nocalert::noc {
 
 /**
- * Simulation kernel selection.
+ * Simulation kernel selection: one fast sparse kernel and one
+ * reference oracle.
  *
- * Active (default) maintains an active set: a cycle only evaluates
+ * Bitmask (default) schedules sparsely: a cycle only evaluates
  * routers with flit stimulus or non-quiescent state, NIs with work or
  * arriving flits, and busy links; a quiescent router or idle NI woken
  * only by returning credits takes a credit fast path (the capped
- * counter increment is the evaluation's entire effect). Provably
- * bit-exact with Dense on every observable (ejection logs, stats,
- * alert streams) — the differential kernel-equivalence tests assert
- * it — because a skipped module's evaluation is an architectural
- * no-op and its observers could only see quiescent wires. Two
- * *non*-observables differ: the traffic RNG streams stop advancing
- * once generation stopped, and per-router/per-NI observers do not
- * fire for skipped modules.
+ * counter increment is the evaluation's entire effect). An evaluated
+ * router whose packed state passes the eligibility screen then
+ * commits its cycle on the struct-of-arrays fast path
+ * (Router::evaluateFast) by sparse bitmask iteration — no wire
+ * record, no snapshots, no branchy checker bank — and reports any
+ * invariant fires as one violation word through the packed observer.
+ * Routers the screen rejects (suspect state, anomalous stimulus) and
+ * pinned routers (tap hooks, forced-active) take the branchy path
+ * with the full checker bank.
  *
- * Dense evaluates everything every cycle — the original kernel. Use
- * it when an external observer must see every router every cycle
- * (e.g. whole-network tracing) or to cross-check the active kernel.
+ * Dense evaluates everything every cycle through the branchy path —
+ * the original kernel and the reference the kernel-equivalence tests
+ * compare against. Use it when an external observer must see every
+ * router's wires every cycle (e.g. whole-network tracing).
  *
- * Bitmask keeps the active kernel's scheduling and adds the
- * struct-of-arrays fast path (Router::evaluateFast): an evaluated
- * router whose packed state passes the eligibility screen commits
- * its cycle by sparse bitmask iteration — no wire record, no
- * snapshots, no branchy checker bank — and reports any invariant
- * fires as one violation word through the packed observer. Routers
- * the screen rejects (suspect state, anomalous stimulus) and pinned
- * routers (tap hooks, forced-active) take the branchy path with the
- * full checker bank, so behaviour under faults is bit-identical to
- * Dense/Active; the three-way kernel-equivalence tests pin this.
- * Like Active, per-router observers do not fire for fast-path
- * routers (install a packed observer to receive their violations),
- * and tap hooks are only delivered to pinned routers.
+ * The two are bit-exact on every observable (ejection logs, stats,
+ * NoCAlert and ForEVeR alert streams, recovery counters): a skipped
+ * module's evaluation is an architectural no-op whose observers could
+ * only see quiescent wires, and a fast-path commit is exactly the
+ * branchy pipeline's on state that passes the screen. What differs
+ * is not observable: the traffic RNG streams stop advancing once
+ * generation stopped; per-router/per-NI observers do not fire for
+ * skipped modules, nor the router observer for fast-path routers
+ * (install a packed observer to receive their violations); and tap
+ * hooks are only delivered to pinned routers.
  */
 enum class KernelMode : std::uint8_t {
-    Active,
     Dense,
     Bitmask,
+    /// Named by `perfbench/src/layers.cpp`, which is frozen with the
+    /// benchmark; drop it in the next benchmark change.
+    Active = Bitmask,
 };
 
 /** A complete mesh NoC with attached traffic sources. */
@@ -133,14 +135,6 @@ class Network
 
     /** NIs evaluated so far (kernel-effort instrumentation). */
     std::uint64_t niEvaluations() const { return ni_evals_; }
-
-    /**
-     * Pin router @p node into the active set: it evaluates every
-     * cycle even while quiescent. Used for routers carrying an armed
-     * fault site, so an injection on an idle router still fires at
-     * exactly its scheduled cycle. Cleared by copies.
-     */
-    void forceRouterActive(NodeId node);
 
     /**
      * Narrow tap delivery to @p nodes. setTapHook() conservatively
@@ -281,7 +275,6 @@ class Network
   private:
     void buildTopology();
     void stepDense();
-    void stepActive();
     void stepBitmask();
     void recomputeLiveness();
     int inLinkIndex(NodeId node, int port) const;
@@ -329,14 +322,14 @@ class Network
     nocalert::traffic::WorkloadGenerator traffic_;
     Cycle cycle_ = 0;
 
-    KernelMode kernel_mode_ = KernelMode::Active;
+    KernelMode kernel_mode_ = KernelMode::Bitmask;
     /** Per router: last evaluation left it non-quiescent. */
     std::vector<char> router_live_;
     /** Per router: packed state cache (bitmask kernel). */
     std::vector<PackedRouterState> packed_;
     /** Shared VA scratch for fast-path evaluations. */
     PackedScratch packed_scratch_;
-    /** Per router: pinned active (fault sites, direct mutation). */
+    /** Per router: pinned active (setTapFocus: armed fault sites). */
     std::vector<char> force_active_;
     /** Tap hook present and not narrowed: pin all routers active. */
     bool tap_force_all_ = false;

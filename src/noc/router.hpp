@@ -180,7 +180,7 @@ class Router
     bool quiescent() const;
 
     /**
-     * Credit-only fast path for the active-set kernel: apply arriving
+     * Credit-only fast path for the bitmask kernel: apply arriving
      * credits (@p credit_in, per-output-port per-VC masks) to a
      * quiescent router without evaluating the pipeline. For a
      * quiescent router with no arriving flits this is the *only*

@@ -149,7 +149,7 @@ struct RouterWires
 };
 
 // ---------------------------------------------------------------------
-// Quiescence predicates (active-set kernel / checker short-circuit).
+// Quiescence predicates (bitmask kernel / checker short-circuit).
 //
 // A port is *quiescent* when its wire bundle proves that no module
 // guarding it did any work this cycle; every Table-1 checker instance

@@ -155,7 +155,7 @@ class TrafficGenerator
     /**
      * True iff generation has permanently stopped by @p cycle: every
      * later generate() call returns nullopt regardless of its draws.
-     * The active-set kernel then skips the draws entirely; the RNG
+     * The bitmask kernel then skips the draws entirely; the RNG
      * streams diverge from a dense run's, but they are never consulted
      * again, so every observable (packets, ejections, stats) is
      * unaffected.

@@ -15,7 +15,7 @@
  *
  * Actions run at end-of-cycle (the network's cycle observer) so the
  * mid-cycle wire evaluation both kernels agree on is never disturbed —
- * this keeps recovery bit-exact between the dense and active-set
+ * this keeps recovery bit-exact between the dense and bitmask
  * kernels. After each action the policy controller is reset so later,
  * independent faults can trigger again, up to a configurable cap.
  */

@@ -20,8 +20,8 @@
  * The load-bearing invariant of noc/traffic.hpp is preserved by every
  * backend: generation is a pure function of (node, cycle, stream) —
  * never network state — so golden and fault-injected runs of one spec
- * see byte-identical packet sequences, and the dense, active, and
- * bitmask kernels stay bit-exact. The active-set kernels' skip-draw
+ * see byte-identical packet sequences, and the dense and bitmask
+ * kernels stay bit-exact. The bitmask kernel's skip-draw
  * contract (TrafficGenerator::stopped) generalizes to idleAt(): a
  * cycle may be skipped when no node can fire in it, which for the
  * counter-mode and trace backends extends from "stopped forever" to
@@ -244,7 +244,7 @@ void workloadFromCli(const CommandLine &cli, WorkloadSpec &workload);
  * The phase-program backend. Counter-mode: the draws for (node,
  * cycle) come from a private stream keyed by (seed, node, cycle), so
  * generation order is irrelevant and skipped idle cycles consume
- * nothing — the property that lets the active-set kernels treat any
+ * nothing — the property that lets the bitmask kernel treat any
  * idle segment like the synthetic backend's permanent stop.
  */
 class PhasedGenerator
@@ -349,7 +349,7 @@ class WorkloadGenerator
 
     /**
      * True iff no generate() call at @p cycle can return a packet, so
-     * the active-set kernels may skip the draws entirely. For the
+     * the bitmask kernel may skip the draws entirely. For the
      * synthetic backend this is the *permanent* stop (its sequential
      * streams must otherwise stay aligned with a dense run); the
      * counter-mode and trace backends extend it to any idle segment

@@ -63,13 +63,13 @@ TEST_P(Determinism, ArtifactIsByteIdenticalAcrossJobs)
 
 INSTANTIATE_TEST_SUITE_P(
     KernelsAndModes, Determinism,
-    ::testing::Values(std::make_pair(false, false),  // detection, active
+    ::testing::Values(std::make_pair(false, false),  // detection, bitmask
                       std::make_pair(false, true),   // detection, dense
-                      std::make_pair(true, false),   // recovery, active
+                      std::make_pair(true, false),   // recovery, bitmask
                       std::make_pair(true, true)),   // recovery, dense
     [](const ::testing::TestParamInfo<std::pair<bool, bool>> &info) {
         std::string name = info.param.first ? "Recovery" : "Detection";
-        name += info.param.second ? "Dense" : "Active";
+        name += info.param.second ? "Dense" : "Bitmask";
         return name;
     });
 

@@ -31,32 +31,38 @@
 #ifndef NOCALERT_FAULT_CAMPAIGN_BIN
 #error "NOCALERT_FAULT_CAMPAIGN_BIN must point at the fault_campaign binary"
 #endif
+#ifndef NOCALERT_SIMULATE_BIN
+#error "NOCALERT_SIMULATE_BIN must point at the simulate binary"
+#endif
 
 namespace nocalert::fault {
 namespace {
 
 namespace fs = std::filesystem;
 
+/** Run @p binary with @p arguments, discarding output; its exit status. */
+int
+exitOf(const char *binary, const std::string &arguments)
+{
+    const std::string command =
+        std::string(binary) + " " + arguments + " >/dev/null 2>&1";
+    const int raw = std::system(command.c_str());
+    EXPECT_NE(raw, -1);
+    return WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
+}
+
 /** Run the shard CLI, discarding output; return its exit status. */
 int
 shardExit(const std::string &arguments)
 {
-    const std::string command = std::string(NOCALERT_SHARD_BIN) + " " +
-                                arguments + " >/dev/null 2>&1";
-    const int raw = std::system(command.c_str());
-    EXPECT_NE(raw, -1);
-    return WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
+    return exitOf(NOCALERT_SHARD_BIN, arguments);
 }
 
 /** Run the fault_campaign CLI, discarding output; its exit status. */
 int
 faultCampaignExit(const std::string &arguments)
 {
-    const std::string command = std::string(NOCALERT_FAULT_CAMPAIGN_BIN) +
-                                " " + arguments + " >/dev/null 2>&1";
-    const int raw = std::system(command.c_str());
-    EXPECT_NE(raw, -1);
-    return WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
+    return exitOf(NOCALERT_FAULT_CAMPAIGN_BIN, arguments);
 }
 
 class ShardCli : public ::testing::Test
@@ -257,6 +263,13 @@ TEST_F(ShardCli, SampledRunWithoutABoundIsAFatalError)
     EXPECT_EQ(shardExit("run --out " + out +
                         " --mesh 4 --sites 12 --kind bogus"),
               1);
+    // simulate names fault kinds the same way.
+    EXPECT_EQ(exitOf(NOCALERT_SIMULATE_BIN,
+                     "--mesh 4 --cycles 300 --fault r5:Sa2Grant:E:0"
+                     " --kind bogus"),
+              1);
+    // A sampler flag without --sample would configure nothing.
+    EXPECT_EQ(faultCampaignExit("--mesh 4 --sites 12 --max-runs 5"), 1);
     EXPECT_FALSE(fs::exists(out));
 }
 

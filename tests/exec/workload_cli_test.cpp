@@ -147,6 +147,17 @@ TEST_F(WorkloadCli, BurstWithoutPhasesIsRejected)
     EXPECT_NE(repeat_out.text.find("--phase-repeat requires"),
               std::string::npos)
         << repeat_out.text;
+
+    // The sampler's flags follow the same rule: without --sample they
+    // would silently yield an exhaustive campaign.
+    const CommandOutput sample_out =
+        shard("run --out " + path("y.json") +
+              " --mesh 4 --sites 2 --ci-width 0.01 --max-runs 5");
+    EXPECT_EQ(sample_out.status, 1);
+    EXPECT_NE(sample_out.text.find("--ci-width requires --sample"),
+              std::string::npos)
+        << sample_out.text;
+    EXPECT_FALSE(fs::exists(path("y.json")));
 }
 
 TEST_F(WorkloadCli, PhasesAndTraceReplayAreMutuallyExclusive)

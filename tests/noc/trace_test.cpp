@@ -25,9 +25,15 @@ traffic(double rate = 0.1)
     return spec;
 }
 
+/**
+ * Record @p net's wires into @p recorder. A trace is built from wire
+ * records, which only the dense kernel produces for every evaluated
+ * router (the bitmask fast path commits without one).
+ */
 void
 attach(Network &net, TraceRecorder &recorder)
 {
+    net.setKernelMode(KernelMode::Dense);
     net.setRouterObserver(
         [&recorder](const Router &router, const RouterWires &wires) {
             recorder.observeRouter(router, wires);

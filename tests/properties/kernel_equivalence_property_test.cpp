@@ -1,18 +1,21 @@
 /**
  * @file
- * Differential proof of the fast kernels: for every configuration in
+ * Differential proof of the fast kernel: for every configuration in
  * the matrix — injection rates, seeds, VC counts, mesh sizes, with
  * and without injected faults (warm and cycle-0), detection-only and
- * full recovery stack — a simulation on the active kernel AND one on
- * the bitmask kernel must each be bit-identical to the same
- * simulation on the dense kernel in every observable: the ejection
- * logs (cycle, node, flit), the aggregate statistics, and the
- * complete NoCAlert assertion stream. This harness is what licenses
+ * full recovery stack — a simulation on the bitmask kernel must be
+ * bit-identical to the same simulation on the dense kernel in every
+ * observable: the ejection logs (cycle, node, flit), the aggregate
+ * statistics, the complete NoCAlert assertion stream, and the
+ * complete ForEVeR alert stream (composed as the fault campaign
+ * composes it, so its allocation comparator sees only branchy-path
+ * routers on the bitmask kernel). This harness is what licenses
  * shipping the bitmask kernel as the default.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -20,6 +23,7 @@
 #include "core/nocalert.hpp"
 #include "fault/injector.hpp"
 #include "fault/site.hpp"
+#include "forever/forever.hpp"
 #include "noc/network.hpp"
 #include "recovery/orchestrator.hpp"
 
@@ -41,6 +45,9 @@ struct KernelCase
     fault::FaultKind kind = fault::FaultKind::Transient;
     /** Enable the extended (group-9) output-table checks. */
     bool extended = false;
+    /** Which of the stratified sample's sites to arm (one per signal
+     *  class in catalog order: 0 = WriteEnable, 3 = Sa1Grant, ...). */
+    unsigned siteIndex = 0;
 };
 
 std::string
@@ -60,6 +67,8 @@ caseName(const testing::TestParamInfo<KernelCase> &info)
         name += "_rec";
     if (c.extended)
         name += "_ext";
+    if (c.siteIndex != 0)
+        name += "_i" + std::to_string(c.siteIndex);
     return name;
 }
 
@@ -69,6 +78,7 @@ struct RunObservables
     std::vector<EjectionRecord> ejections;
     NetworkStats stats;
     std::vector<core::Assertion> alerts;
+    std::vector<forever::ForeverAlert> foreverAlerts;
     std::uint64_t routerEvals = 0;
 
     // Recovery-stack observables (zero without recovery).
@@ -99,22 +109,42 @@ simulate(const KernelCase &c, KernelMode mode)
 
     Network net(config, traffic);
     net.setKernelMode(mode);
-    core::NoCAlertEngine engine(net);
+
+    // NoCAlert and ForEVeR observe one run side by side, wired the way
+    // FaultCampaign::runSingle wires them.
+    core::NoCAlertEngine engine(net, /*attach_now=*/false);
+    const forever::ForeverConfig fc;
+    forever::ForeverModel fever(net, fc, /*attach_now=*/false);
+    net.setPackedObserver(
+        [&](const Router &router, const PackedCycleEvents &ev) {
+            engine.observePacked(router, ev);
+        });
+    net.setRouterObserver(
+        [&](const Router &router, const RouterWires &wires) {
+            engine.observeRouter(router, wires);
+            fever.observeRouter(router, wires);
+        });
+    net.setNiObserver(
+        [&](const NetworkInterface &ni, const NiWires &wires) {
+            engine.observeNi(ni, wires);
+            fever.observeNi(ni, wires);
+        });
 
     std::optional<recovery::RecoveryOrchestrator> orch;
-    if (c.recovery) {
+    if (c.recovery)
         orch.emplace(net, engine);
-        net.setCycleObserver([&](const Network &n) {
+    net.setCycleObserver([&](const Network &n) {
+        fever.onCycleEnd(n);
+        if (orch)
             orch->onCycleEnd(n.cycle());
-        });
-    }
+    });
 
     fault::FaultInjector injector;
     if (c.inject) {
         const auto sites = fault::FaultSiteCatalog::sampleNetwork(
-            config, 8, c.siteSeed);
+            config, std::max(8u, c.siteIndex + 1), c.siteSeed);
         fault::FaultSpec spec;
-        spec.site = sites.at(0);
+        spec.site = sites.at(c.siteIndex);
         spec.cycle = c.onset;
         spec.kind = c.kind;
         injector.arm(spec);
@@ -123,11 +153,13 @@ simulate(const KernelCase &c, KernelMode mode)
 
     net.run(600);
     net.drain(c.recovery ? 8000 : 6000);
+    net.run(fc.epochLength + 2); // ForEVeR's epoch horizon
 
     RunObservables obs;
     obs.ejections = net.collectEjections();
     obs.stats = net.stats();
     obs.alerts = engine.log().alerts();
+    obs.foreverAlerts = fever.alerts();
     obs.routerEvals = net.routerEvaluations();
     for (NodeId node = 0; node < config.numNodes(); ++node) {
         obs.retransmits += net.ni(node).retransmits();
@@ -173,6 +205,14 @@ expectSameObservables(const RunObservables &dense,
         EXPECT_EQ(dense.alerts[i].port, fast.alerts[i].port);
         EXPECT_EQ(dense.alerts[i].vc, fast.alerts[i].vc);
     }
+    ASSERT_EQ(dense.foreverAlerts.size(), fast.foreverAlerts.size());
+    for (std::size_t i = 0; i < dense.foreverAlerts.size(); ++i) {
+        EXPECT_EQ(dense.foreverAlerts[i].source,
+                  fast.foreverAlerts[i].source);
+        EXPECT_EQ(dense.foreverAlerts[i].cycle,
+                  fast.foreverAlerts[i].cycle);
+        EXPECT_EQ(dense.foreverAlerts[i].node, fast.foreverAlerts[i].node);
+    }
 
     // The recovery stack's own observables: retransmission counters
     // and quarantine-and-purge actions must agree exactly too.
@@ -191,21 +231,26 @@ TEST_P(KernelEquivalence, FastKernelsBitIdenticalToDense)
 {
     const KernelCase &c = GetParam();
     const RunObservables dense = simulate(c, KernelMode::Dense);
-    const RunObservables active = simulate(c, KernelMode::Active);
     const RunObservables bitmask = simulate(c, KernelMode::Bitmask);
 
-    expectSameObservables(dense, active, "active");
     expectSameObservables(dense, bitmask, "bitmask");
 
-    // The bitmask kernel inherits the active kernel's scheduling
-    // verbatim: the same routers must be evaluated on the same cycles.
-    EXPECT_EQ(active.routerEvals, bitmask.routerEvals);
+    // The grant-fault cases exist to trip the allocation comparator;
+    // make sure they still do.
+    if (c.siteIndex != 0) {
+        EXPECT_TRUE(std::any_of(
+            dense.foreverAlerts.begin(), dense.foreverAlerts.end(),
+            [](const forever::ForeverAlert &alert) {
+                return alert.source ==
+                       forever::ForeverAlert::Source::AllocationComparator;
+            }));
+    }
 
-    // And the fast kernels must actually have skipped work (at these
+    // And the fast kernel must actually have skipped work (at these
     // loads a dense run evaluates strictly more routers), except when
     // a raw tap pin forces density.
     if (!c.inject) {
-        EXPECT_LT(active.routerEvals, dense.routerEvals);
+        EXPECT_LT(bitmask.routerEvals, dense.routerEvals);
     }
 }
 
@@ -245,14 +290,27 @@ INSTANTIATE_TEST_SUITE_P(
         KernelCase{4, 4, 0.08, 50, false, 0, 0, false,
                    fault::FaultKind::Transient, true},
         KernelCase{4, 4, 0.05, 51, true, 300, 52, false,
-                   fault::FaultKind::Transient, true}),
+                   fault::FaultKind::Transient, true},
+        // Arbiter grant faults: the cases that trip ForEVeR's
+        // allocation comparator, which on the bitmask kernel sees only
+        // branchy-path routers.
+        KernelCase{4, 4, 0.08, 62, true, 300, 63, false,
+                   fault::FaultKind::Permanent, false, 3},
+        KernelCase{4, 4, 0.08, 66, true, 300, 67, false,
+                   fault::FaultKind::Permanent, false, 5},
+        KernelCase{4, 4, 0.08, 68, true, 300, 69, false,
+                   fault::FaultKind::Transient, false, 8},
+        KernelCase{4, 4, 0.08, 70, true, 300, 71, false,
+                   fault::FaultKind::Permanent, false, 8}),
     caseName);
 
 TEST(KernelEquivalence, CheckerShortcutMatchesUngatedBank)
 {
     // Every wire record a live network produces must yield the same
     // assertion list with and without the per-port quiescence
-    // shortcut.
+    // shortcut. The dense kernel produces a wire record for every
+    // router on every cycle (the bitmask kernel's fast path produces
+    // none).
     NetworkConfig config;
     config.width = 4;
     config.height = 4;
@@ -262,6 +320,7 @@ TEST(KernelEquivalence, CheckerShortcutMatchesUngatedBank)
     traffic.stopCycle = 300;
 
     Network net(config, traffic);
+    net.setKernelMode(KernelMode::Dense);
     core::CheckerContext ctx{&net.config(), &net.routing()};
     std::uint64_t records = 0;
     net.setRouterObserver([&](const Router &router,
@@ -281,7 +340,7 @@ TEST(KernelEquivalence, DenseCampaignTailDominatesActiveWins)
 {
     // The campaign shape: generation stops, the network drains, then
     // a long quiescent tail runs for the ForEVeR epoch horizon. The
-    // active kernel's cost in the tail must be near zero.
+    // default kernel's cost in the tail must be near zero.
     NetworkConfig config;
     config.width = 4;
     config.height = 4;

@@ -140,8 +140,8 @@ TEST(SnapshotProperty, MidFlightCopyCarriesTheActiveSet)
 
 TEST(SnapshotProperty, CrossKernelResumeIsBitExact)
 {
-    // A dense-warmed snapshot resumed on the active kernel (and the
-    // reverse) must match a straight dense run: the kernels share one
+    // A dense-warmed snapshot resumed on the bitmask kernel (and on
+    // the dense one) must match a straight dense run: the kernels share one
     // state space, so mode is a per-instance execution detail.
     NetworkConfig config;
     config.width = 4;
@@ -155,19 +155,19 @@ TEST(SnapshotProperty, CrossKernelResumeIsBitExact)
     dense.setKernelMode(KernelMode::Dense);
     dense.run(200);
 
-    Network on_active(dense);
-    on_active.setKernelMode(KernelMode::Active);
+    Network on_bitmask(dense);
+    on_bitmask.setKernelMode(KernelMode::Bitmask);
     Network on_dense(dense);
 
     dense.run(200);
-    on_active.run(200);
+    on_bitmask.run(200);
     on_dense.run(200);
     ASSERT_TRUE(dense.drain(6000));
-    ASSERT_TRUE(on_active.drain(6000));
+    ASSERT_TRUE(on_bitmask.drain(6000));
     ASSERT_TRUE(on_dense.drain(6000));
 
     const auto ed = dense.collectEjections();
-    for (const Network *net : {&on_active, &on_dense}) {
+    for (const Network *net : {&on_bitmask, &on_dense}) {
         const auto e = net->collectEjections();
         ASSERT_EQ(ed.size(), e.size());
         for (std::size_t i = 0; i < ed.size(); ++i) {

@@ -2,8 +2,8 @@
  * @file
  * The workload-engine extension of the kernel-equivalence and
  * snapshot property suites: for phase-program (with and without
- * bursts) and trace-replay workloads, the active and bitmask kernels
- * must be bit-identical to the dense kernel in every observable, and
+ * bursts) and trace-replay workloads, the bitmask kernel must be
+ * bit-identical to the dense kernel in every observable, and
  * a network snapshotted mid-phase (or mid-replay) and resumed must
  * replay the exact phase position — the properties the campaign's
  * warm-snapshot methodology rests on.
@@ -186,15 +186,12 @@ TEST_P(WorkloadKernelEquivalence, FastKernelsBitIdenticalToDense)
 
     const Observables dense =
         simulate(config, workload, KernelMode::Dense, c.inject);
-    const Observables active =
-        simulate(config, workload, KernelMode::Active, c.inject);
     const Observables bitmask =
         simulate(config, workload, KernelMode::Bitmask, c.inject);
 
     // The run must actually move packets for the comparison to mean
     // anything.
     EXPECT_GT(dense.stats.packetsEjected, 0u);
-    expectSame(dense, active, "active");
     expectSame(dense, bitmask, "bitmask");
 
     if (workload.kind == WorkloadKind::Trace) {
