@@ -71,19 +71,6 @@ constexpr int kExitMissingFile = 3;
 constexpr int kExitCorruptFile = 4;
 constexpr int kExitInterrupted = 130;
 
-/** `run`'s campaign defaults; nocalert_client submit shares them. */
-fault::CampaignConfig
-runDefaults()
-{
-    fault::CampaignConfig config;
-    config.network.width = config.network.height = 4;
-    config.workload.synthetic.injectionRate = 0.05;
-    config.workload.setSeed(3);
-    config.warmup = 200;
-    config.maxSites = 120;
-    return config;
-}
-
 void
 printHelp(std::FILE *to)
 {
@@ -117,7 +104,7 @@ printHelp(std::FILE *to)
         "       failed schema/consistency validation)\n"
         "  130  interrupted by SIGINT; the checkpoint was flushed and\n"
         "       the shard is resumable\n",
-        fault::campaignFlagsHelp(runDefaults()).c_str());
+        fault::campaignFlagsHelp(fault::batchCampaignDefaults()).c_str());
 }
 
 int
@@ -196,7 +183,7 @@ cmdRun(int argc, char **argv)
         fault::withCampaignFlags({"out", "checkpoint", "checkpoint-every",
                                   "jobs", "limit", "progress"}));
     fault::CampaignConfig config =
-        fault::campaignConfigFromCli(cli, runDefaults());
+        fault::campaignConfigFromCli(cli, fault::batchCampaignDefaults());
     config.jobs = static_cast<unsigned>(cli.getInt("jobs", 0));
 
     const std::string out = cli.getString("out", "campaign.json");

@@ -15,9 +15,10 @@
  *   nocalert_client help
  *
  * `submit` accepts the campaign flags every campaign CLI shares
- * (fault/campaign_cli.hpp) with the defaults of `campaign_shard run`,
- * so submitting with the flags of a batch invocation yields a served
- * artifact byte-identical to that invocation's output file.
+ * (fault/campaign_cli.hpp) with the defaults of `campaign_shard run`
+ * (fault::batchCampaignDefaults), so submitting with the flags of a
+ * batch invocation yields a served artifact byte-identical to that
+ * invocation's output file.
  * `--spec FILE` instead reads a serialized campaign config (e.g. the
  * `config` block of an artifact). `--wait` stays connected, streams
  * telemetry to stderr until the campaign finishes, then fetches the
@@ -70,19 +71,6 @@ constexpr int kExitServerError = 1;
 constexpr int kExitUsage = 2;
 constexpr int kExitConnect = 3;
 
-/** Campaign defaults of `submit`: those of `campaign_shard run`. */
-fault::CampaignConfig
-submitDefaults()
-{
-    fault::CampaignConfig config;
-    config.network.width = config.network.height = 4;
-    config.workload.synthetic.injectionRate = 0.05;
-    config.workload.setSeed(3);
-    config.warmup = 200;
-    config.maxSites = 120;
-    return config;
-}
-
 void
 printHelp(std::FILE *to)
 {
@@ -116,7 +104,7 @@ printHelp(std::FILE *to)
         "                        jittered, capped at 5 s (default 100)\n"
         "\n"
         "%s",
-        fault::campaignFlagsHelp(submitDefaults()).c_str());
+        fault::campaignFlagsHelp(fault::batchCampaignDefaults()).c_str());
 }
 
 /** Blocking NDJSON connection to the daemon. */
@@ -418,7 +406,8 @@ cmdSubmit(ServiceLink &link, const CommandLine &cli)
             NOCALERT_FATAL("spec '", spec_path, "': ", config_error);
         config = *parsed;
     } else {
-        config = fault::campaignConfigFromCli(cli, submitDefaults());
+        config = fault::campaignConfigFromCli(
+            cli, fault::batchCampaignDefaults());
     }
 
     const bool wait = cli.getBool("wait", false);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <unordered_map>
+#include <map>
+#include <optional>
+#include <utility>
 
 #include "core/nocalert.hpp"
 #include "exec/executor.hpp"
@@ -434,265 +436,106 @@ loadCheckpointDocument(const CampaignConfig &config)
     return checkpoint;
 }
 
-/** Restore completed exhaustive runs from a checkpoint, validating
- *  them against the deterministic site list. */
-std::unordered_map<std::size_t, FaultRunResult>
-restoreCheckpoint(const CampaignConfig &config,
-                  const std::vector<FaultSite> &sites)
-{
-    std::unordered_map<std::size_t, FaultRunResult> restored;
-    auto checkpoint = loadCheckpointDocument(config);
-    if (!checkpoint)
-        return restored;
-    for (FaultRunResult &run : checkpoint->runs) {
-        if (run.sampleIndex >= sites.size() ||
-            !(sites[run.sampleIndex] == run.site)) {
-            NOCALERT_FATAL("checkpoint '", config.checkpointPath,
-                           "' does not match the sampled site list");
-        }
-        restored.emplace(run.sampleIndex, std::move(run));
-    }
-    return restored;
-}
-
 } // namespace
 
 CampaignResult
 FaultCampaign::run(const Progress &progress, const RunOptions &options)
 {
-    if (config_.sampling.enabled)
-        return runSampled(progress, options);
-
     CampaignResult result;
     result.config = config_;
 
-    // ---- Warm snapshot + golden reference ----
-    PreparedReference prepared =
-        prepareReference(config_, config_.workload.seed());
-    const noc::Network &base = prepared.base;
-    const GoldenReference &reference = prepared.golden;
-    result.goldenFlits = reference.flitCount();
-
-    // ---- Site selection ----
-    std::vector<FaultSite> population =
-        FaultSiteCatalog::enumerateNetwork(config_.network);
-    if (config_.wireSitesOnly) {
-        std::erase_if(population, [](const FaultSite &site) {
-            return isStateSignal(site.signal);
-        });
+    // ---- Plan ----
+    // Both planners run over one site list. The exhaustive sweep is a
+    // single batch: the sampled indices congruent to shardIndex, so N
+    // shards partition exactly an unsharded run's work. The sampled
+    // planner draws from the same list, batch by batch, until it stops.
+    std::vector<FaultSite> sites =
+        sampledPopulation(config_, result.totalSitesEnumerated);
+    std::optional<SampledPlanner> sampler;
+    std::vector<SampledDraw> sweep;
+    if (config_.sampling.enabled) {
+        sampler.emplace(config_, std::move(sites));
+    } else {
+        for (std::size_t i = config_.shardIndex; i < sites.size();
+             i += config_.shardCount)
+            sweep.push_back(SampledDraw{i, 0, sites[i], 0, 0});
     }
-    result.totalSitesEnumerated = population.size();
-    const std::vector<FaultSite> sites = FaultSiteCatalog::sampleSites(
-        std::move(population), config_.maxSites, config_.sampleSeed);
-
-    // ---- Shard selection ----
-    // A shard owns the sampled indices congruent to its shardIndex;
-    // the subset depends only on the deterministic sample order, so N
-    // shards partition exactly an unsharded run's work.
-    std::vector<std::size_t> shard_indices;
-    for (std::size_t i = config_.shardIndex; i < sites.size();
-         i += config_.shardCount)
-        shard_indices.push_back(i);
-    result.shardRunsPlanned = shard_indices.size();
-
-    // ---- Resume ----
-    std::unordered_map<std::size_t, FaultRunResult> done_runs =
-        restoreCheckpoint(config_, sites);
-
-    std::vector<std::size_t> todo;
-    for (std::size_t index : shard_indices) {
-        if (!done_runs.count(index))
-            todo.push_back(index);
-    }
-    if (options.maxNewRuns != 0 && todo.size() > options.maxNewRuns)
-        todo.resize(options.maxNewRuns);
-
-    // ---- Fault runs ----
-    auto snapshot = [&]() {
-        // Completed runs in global order — the checkpoint and the
-        // final result, independent of thread completion order.
-        CampaignResult partial = result;
-        partial.runs.clear(); // result may already hold a snapshot
-        partial.runs.reserve(done_runs.size());
-        for (const auto &[index, run] : done_runs)
-            partial.runs.push_back(run);
-        std::sort(partial.runs.begin(), partial.runs.end(),
-                  [](const FaultRunResult &a, const FaultRunResult &b) {
-                      return a.sampleIndex < b.sampleIndex;
-                  });
-        return partial;
-    };
-    auto writeCheckpoint = [&]() {
-        std::string error;
-        if (!saveCampaignResult(snapshot(), config_.checkpointPath,
-                                &error))
-            NOCALERT_FATAL("checkpoint write failed: ", error);
-    };
-
-    std::size_t completed = done_runs.size();
-    std::size_t since_checkpoint = 0;
-    const unsigned checkpoint_every = std::max(1u, config_.checkpointEvery);
-
-    exec::CampaignExecutor executor(exec::ExecConfig{
-        config_.jobs, config_.workload.seed(), config_.sampleSeed});
-    exec::TelemetryHub hub(shard_indices.size(), executor.jobs(),
-                           {"tp", "fp", "tn", "fn", "rec"});
-    for (const auto &[index, run] : done_runs)
-        hub.recordRun(static_cast<unsigned>(run.outcome()));
-
-    try {
-        executor.run<FaultRunResult>(
-            todo.size(),
-            [&](exec::TaskContext &ctx) {
-                // ctx.rng is this run's private derived stream; the
-                // simulation needs no extra randomness (per-node
-                // traffic streams are derived inside the network
-                // copy), so today it intentionally goes unused.
-                const std::size_t index = todo[ctx.index];
-                FaultRunResult run =
-                    runSingle(config_, base, reference, sites[index]);
-                run.sampleIndex = index;
-                return run;
-            },
-            [&](std::size_t, FaultRunResult &&run) {
-                // Ordered commit: the reducer delivers runs in
-                // increasing todo position (hence sampleIndex),
-                // serialized under its lock, so done_runs, every
-                // checkpoint flush, progress and telemetry evolve
-                // identically for any jobs count.
-                hub.recordRun(static_cast<unsigned>(run.outcome()));
-                done_runs.emplace(run.sampleIndex, std::move(run));
-                ++completed;
-                if (!config_.checkpointPath.empty() &&
-                    ++since_checkpoint >= checkpoint_every) {
-                    since_checkpoint = 0;
-                    writeCheckpoint();
-                }
-                if (progress)
-                    progress(completed, shard_indices.size());
-                if (options.telemetry)
-                    options.telemetry(hub.snapshot());
-            },
-            options.cancel, &hub);
-    } catch (const exec::TaskError &error) {
-        // One failing run aborts the campaign, but cleanly: flush the
-        // committed prefix so nothing is lost, then name the site.
-        if (!config_.checkpointPath.empty())
-            writeCheckpoint();
-        const std::size_t index = todo[error.taskIndex()];
-        NOCALERT_FATAL("campaign run ", index, " (",
-                       sites[index].describe(),
-                       ") failed: ", error.what());
-    }
-
-    result = snapshot();
-    if (!config_.checkpointPath.empty())
-        writeCheckpoint();
-    return result;
-}
-
-CampaignResult
-FaultCampaign::runSampled(const Progress &progress,
-                          const RunOptions &options)
-{
-    CampaignResult result;
-    result.config = config_;
-
-    // ---- Population ----
-    // totalSitesEnumerated keeps its exhaustive meaning: the full
-    // enumerated (pre-truncation) site count for this config.
-    {
-        std::vector<FaultSite> enumerated =
-            FaultSiteCatalog::enumerateNetwork(config_.network);
-        if (config_.wireSitesOnly) {
-            std::erase_if(enumerated, [](const FaultSite &site) {
-                return isStateSignal(site.signal);
-            });
-        }
-        result.totalSitesEnumerated = enumerated.size();
-    }
-    SampledPlanner planner(config_, sampledPopulation(config_));
 
     // ---- References: one warm snapshot + golden per traffic seed ----
+    const unsigned seeds = sampler ? config_.sampling.seedCount : 1;
     std::vector<PreparedReference> prepared;
-    prepared.reserve(config_.sampling.seedCount);
-    for (unsigned k = 0; k < config_.sampling.seedCount; ++k)
+    prepared.reserve(seeds);
+    for (unsigned k = 0; k < seeds; ++k)
         prepared.push_back(
             prepareReference(config_, config_.workload.seed() + k));
     result.goldenFlits = prepared.front().golden.flitCount();
 
     // ---- Resume ----
-    // Resume is replay: the planner regenerates the exact batch
-    // sequence and checkpointed draws are fed back to it (validated
-    // one by one below) instead of being simulated again.
-    std::unordered_map<std::size_t, FaultRunResult> done_runs;
+    // Resume is replay: the plan is regenerated and each checkpointed
+    // run stands in for the draw at its index once it is shown to be
+    // that draw (validated batch by batch below).
+    std::map<std::size_t, FaultRunResult> restored;
     if (auto checkpoint = loadCheckpointDocument(config_)) {
         for (FaultRunResult &run : checkpoint->runs)
-            done_runs.emplace(run.sampleIndex, std::move(run));
+            restored.emplace(run.sampleIndex, std::move(run));
     }
-    const std::size_t restored_count = done_runs.size();
 
+    // Committed runs by sampleIndex: replayed and freshly run alike. A
+    // checkpointed run the loop stops short of is not committed, so no
+    // snapshot holds a run its plan has not reached.
+    std::map<std::size_t, FaultRunResult> committed;
+    std::size_t planned = 0;
     bool finished = false;
     auto snapshot = [&]() {
         CampaignResult partial = result;
-        partial.shardRunsPlanned = planner.drawsPlanned();
-        partial.samplerDone = finished;
-        partial.runs.clear();
-        partial.runs.reserve(done_runs.size());
-        for (const auto &[index, run] : done_runs)
+        partial.shardRunsPlanned = planned;
+        partial.samplerDone = sampler && finished;
+        partial.runs.reserve(committed.size());
+        for (const auto &[index, run] : committed)
             partial.runs.push_back(run);
-        std::sort(partial.runs.begin(), partial.runs.end(),
-                  [](const FaultRunResult &a, const FaultRunResult &b) {
-                      return a.sampleIndex < b.sampleIndex;
-                  });
         return partial;
     };
-    auto writeCheckpoint = [&]() {
+    auto writeCheckpoint = [&](const CampaignResult &partial) {
         std::string error;
-        if (!saveCampaignResult(snapshot(), config_.checkpointPath,
-                                &error))
+        if (!saveCampaignResult(partial, config_.checkpointPath, &error))
             NOCALERT_FATAL("checkpoint write failed: ", error);
     };
 
-    std::size_t completed = done_runs.size();
+    std::size_t fresh = 0;
     std::size_t since_checkpoint = 0;
     const unsigned checkpoint_every =
         std::max(1u, config_.checkpointEvery);
-    std::size_t fresh = 0;
-    std::size_t replayed = 0;
 
+    // Neither planner reads a task's ctx.rng (every coordinate of a run
+    // is fixed when its draw is planned), and stealSeed only picks
+    // which idle worker steals from which, so no seed here can reach
+    // an artifact.
     exec::CampaignExecutor executor(exec::ExecConfig{
-        config_.jobs, config_.workload.seed(),
-        config_.sampling.samplerSeed});
+        config_.jobs, config_.workload.seed(), config_.sampleSeed});
     exec::TelemetryHub hub(0, executor.jobs(),
                            {"tp", "fp", "tn", "fn", "rec"});
-    for (const auto &[index, run] : done_runs)
-        hub.recordRun(static_cast<unsigned>(run.outcome()));
 
     while (true) {
         // Stop before planning a batch that could not execute anyway:
-        // the run limit is spent and every checkpointed draw has been
-        // replayed into the sampler.
+        // the run limit is spent and every checkpointed run has been
+        // replayed.
         if (options.maxNewRuns != 0 && fresh >= options.maxNewRuns &&
-            replayed == restored_count)
+            restored.empty())
             break;
 
-        std::vector<SampledDraw> batch = planner.planBatch();
-        if (batch.empty()) {
-            finished = true;
-            break;
-        }
-        hub.setRunsPlanned(planner.drawsPlanned());
+        std::vector<SampledDraw> batch =
+            sampler ? sampler->planBatch() : std::exchange(sweep, {});
+        planned += batch.size();
+        hub.setRunsPlanned(planned);
 
-        // Replay first: checkpointed draws feed the sampler exactly
-        // as they did originally; the remainder is fresh work. The
-        // checkpoint holds a contiguous draw prefix, so restored
-        // entries always precede fresh ones within a batch.
+        // Replay first: a checkpointed run must be the very draw the
+        // plan places at its index, and feeds the sampler exactly as it
+        // did originally; the remainder is fresh work.
         std::vector<SampledDraw> todo;
-        for (const SampledDraw &draw : batch) {
-            auto it = done_runs.find(draw.drawIndex);
-            if (it == done_runs.end()) {
-                todo.push_back(draw);
+        for (SampledDraw &draw : batch) {
+            auto it = restored.find(draw.drawIndex);
+            if (it == restored.end()) {
+                todo.push_back(std::move(draw));
                 continue;
             }
             const FaultRunResult &run = it->second;
@@ -700,93 +543,91 @@ FaultCampaign::runSampled(const Progress &progress,
                 run.stratum != draw.stratum ||
                 run.seedIndex != draw.seedIndex) {
                 NOCALERT_FATAL("checkpoint '", config_.checkpointPath,
-                               "' does not match the sampled draw "
-                               "stream at draw ", draw.drawIndex);
+                               "' does not match this campaign's plan "
+                               "at run ", draw.drawIndex);
             }
-            planner.record(run);
-            ++replayed;
+            hub.recordRun(static_cast<unsigned>(run.outcome()));
+            if (sampler)
+                sampler->record(run);
+            committed.insert(restored.extract(it));
+        }
+        // Once no batch can follow (the exhaustive sweep is one batch),
+        // a checkpointed run still unmatched belongs to another shard
+        // or campaign.
+        if ((!sampler || batch.empty()) && !restored.empty()) {
+            NOCALERT_FATAL("checkpoint '", config_.checkpointPath,
+                           "' holds run ", restored.begin()->first,
+                           ", which this campaign never plans");
+        }
+        if (batch.empty()) {
+            finished = true;
+            break;
         }
 
         bool limited = false;
-        if (options.maxNewRuns != 0) {
-            const std::size_t remaining =
-                options.maxNewRuns > fresh ? options.maxNewRuns - fresh
-                                           : 0;
-            if (todo.size() > remaining) {
-                todo.resize(remaining);
-                limited = true;
-            }
+        if (options.maxNewRuns != 0 &&
+            todo.size() > options.maxNewRuns - fresh) {
+            todo.resize(options.maxNewRuns - fresh);
+            limited = true;
         }
 
         bool cancelled = false;
-        if (!todo.empty()) {
-            try {
-                cancelled = !executor.run<FaultRunResult>(
-                    todo.size(),
-                    [&](exec::TaskContext &ctx) {
-                        // As in the exhaustive planner, ctx.rng goes
-                        // unused: every sampled coordinate was fixed
-                        // when the draw was materialized.
-                        const SampledDraw &draw = todo[ctx.index];
-                        const PreparedReference &ref =
-                            prepared[draw.seedIndex];
-                        FaultRunResult run =
-                            runSingle(config_, ref.base, ref.golden,
-                                      draw.site, draw.cycleOffset);
-                        run.sampleIndex = draw.drawIndex;
-                        run.stratum = draw.stratum;
-                        run.seedIndex = draw.seedIndex;
-                        return run;
-                    },
-                    [&](std::size_t, FaultRunResult &&run) {
-                        // Ordered commit under the reducer lock, as in
-                        // the exhaustive planner; the sampler sees
-                        // this batch's outcomes only as aggregates at
-                        // the next planBatch, so commit order cannot
-                        // influence planning anyway.
-                        hub.recordRun(
-                            static_cast<unsigned>(run.outcome()));
-                        planner.record(run);
-                        done_runs.emplace(run.sampleIndex,
-                                          std::move(run));
-                        ++completed;
-                        ++fresh;
-                        if (!config_.checkpointPath.empty() &&
-                            ++since_checkpoint >= checkpoint_every) {
-                            since_checkpoint = 0;
-                            writeCheckpoint();
-                        }
-                        if (progress)
-                            progress(completed, planner.drawsPlanned());
-                        if (options.telemetry)
-                            options.telemetry(hub.snapshot());
-                    },
-                    options.cancel, &hub);
-            } catch (const exec::TaskError &error) {
-                if (!config_.checkpointPath.empty())
-                    writeCheckpoint();
-                const SampledDraw &draw = todo[error.taskIndex()];
-                NOCALERT_FATAL("sampled run ", draw.drawIndex, " (",
-                               draw.site.describe(),
-                               ") failed: ", error.what());
-            }
+        try {
+            cancelled = !executor.run<FaultRunResult>(
+                todo.size(),
+                [&](exec::TaskContext &ctx) {
+                    const SampledDraw &draw = todo[ctx.index];
+                    const PreparedReference &ref =
+                        prepared[draw.seedIndex];
+                    FaultRunResult run =
+                        runSingle(config_, ref.base, ref.golden,
+                                  draw.site, draw.cycleOffset);
+                    run.sampleIndex = draw.drawIndex;
+                    run.stratum = draw.stratum;
+                    run.seedIndex = draw.seedIndex;
+                    return run;
+                },
+                [&](std::size_t, FaultRunResult &&run) {
+                    // Ordered commit: the reducer delivers runs in
+                    // increasing todo position (hence sampleIndex),
+                    // serialized under its lock, so every checkpoint
+                    // flush, progress and telemetry evolve identically
+                    // for any jobs count. The sampler sees this
+                    // batch's outcomes only as aggregates at the next
+                    // planBatch, so commit order cannot steer it.
+                    hub.recordRun(static_cast<unsigned>(run.outcome()));
+                    if (sampler)
+                        sampler->record(run);
+                    committed.emplace(run.sampleIndex, std::move(run));
+                    ++fresh;
+                    if (!config_.checkpointPath.empty() &&
+                        ++since_checkpoint >= checkpoint_every) {
+                        since_checkpoint = 0;
+                        writeCheckpoint(snapshot());
+                    }
+                    if (progress)
+                        progress(committed.size(), planned);
+                    if (options.telemetry)
+                        options.telemetry(hub.snapshot());
+                },
+                options.cancel, &hub);
+        } catch (const exec::TaskError &error) {
+            // One failing run aborts the campaign, but cleanly: flush
+            // the committed runs so nothing is lost, then name the site.
+            if (!config_.checkpointPath.empty())
+                writeCheckpoint(snapshot());
+            const SampledDraw &draw = todo[error.taskIndex()];
+            NOCALERT_FATAL("campaign run ", draw.drawIndex, " (",
+                           draw.site.describe(),
+                           ") failed: ", error.what());
         }
         if (cancelled || limited)
             break;
     }
 
     result = snapshot();
-    // A valid sampled result is a contiguous draw prefix; a doctored
-    // checkpoint with gaps or out-of-stream indices must not survive
-    // into the artifact unnoticed.
-    for (std::size_t i = 0; i < result.runs.size(); ++i) {
-        if (result.runs[i].sampleIndex != i) {
-            NOCALERT_FATAL("checkpoint '", config_.checkpointPath,
-                           "' is not a contiguous sampled draw prefix");
-        }
-    }
     if (!config_.checkpointPath.empty())
-        writeCheckpoint();
+        writeCheckpoint(result);
     return result;
 }
 

@@ -245,7 +245,8 @@ struct CampaignConfig
      * JSON) is written here every checkpointEvery completed runs and
      * once more at the end. An existing checkpoint for the same
      * campaign is loaded on start and its completed runs are skipped,
-     * so a killed shard resumes where it left off.
+     * so a killed shard resumes where it left off; a checkpointed run
+     * that is not the run the plan puts at its index is fatal.
      */
     std::string checkpointPath;
     unsigned checkpointEvery = 25;
@@ -450,9 +451,6 @@ class FaultCampaign
                                     noc::Cycle inject_offset = 0);
 
   private:
-    CampaignResult runSampled(const Progress &progress,
-                              const RunOptions &options);
-
     CampaignConfig config_;
 };
 

@@ -79,6 +79,18 @@ named(const CommandLine &cli, const char *flag, E fallback,
 
 } // namespace
 
+CampaignConfig
+batchCampaignDefaults()
+{
+    CampaignConfig config;
+    config.network.width = config.network.height = 4;
+    config.workload.synthetic.injectionRate = 0.05;
+    config.workload.setSeed(3);
+    config.warmup = 200;
+    config.maxSites = 120;
+    return config;
+}
+
 std::vector<std::string>
 withCampaignFlags(std::vector<std::string> own)
 {

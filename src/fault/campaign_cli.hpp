@@ -19,6 +19,15 @@
 
 namespace nocalert::fault {
 
+/**
+ * Campaign defaults of the batch CLIs, `campaign_shard run` and
+ * `nocalert_client submit`: a 4x4 mesh, 120 sampled sites, rate 0.05,
+ * traffic seed 3, warmup 200. One definition, because a submit is
+ * byte-identical to the batch run of the same flags only while both
+ * start from the same defaults.
+ */
+CampaignConfig batchCampaignDefaults();
+
 /** @p own plus every flag campaignConfigFromCli reads. */
 std::vector<std::string> withCampaignFlags(std::vector<std::string> own);
 

@@ -212,7 +212,7 @@ SampledPlanner::record(const FaultRunResult &run)
 }
 
 std::vector<FaultSite>
-sampledPopulation(const CampaignConfig &config)
+sampledPopulation(const CampaignConfig &config, std::size_t &enumerated)
 {
     std::vector<FaultSite> population =
         FaultSiteCatalog::enumerateNetwork(config.network);
@@ -221,12 +221,16 @@ sampledPopulation(const CampaignConfig &config)
             return isStateSignal(site.signal);
         });
     }
-    // Identical truncation to the exhaustive planner: the sampled
-    // population IS the site list an exhaustive campaign with this
-    // config would sweep, so exhaustive ground truth and sampled
-    // estimates speak about the same finite population.
+    enumerated = population.size();
     return FaultSiteCatalog::sampleSites(
         std::move(population), config.maxSites, config.sampleSeed);
+}
+
+std::vector<FaultSite>
+sampledPopulation(const CampaignConfig &config)
+{
+    std::size_t enumerated = 0;
+    return sampledPopulation(config, enumerated);
 }
 
 namespace {

@@ -1,13 +1,15 @@
 /**
  * @file
- * The sampled-campaign planner — the statistical sibling of the
- * exhaustive shard planner in FaultCampaign::run.
+ * The sampled-campaign planner. FaultCampaign::run executes one
+ * batch loop for every campaign: the exhaustive sweep is a single
+ * batch of SampledDraws (this shard's indices into the site list,
+ * each injected at the snapshot instant on traffic seed 0), and this
+ * planner supplies batches until its stopping rule halts.
  *
- * Where the exhaustive planner enumerates the site list once and
- * partitions it over shards, the sampled planner draws (site,
- * injection-cycle offset, traffic seed) tuples *with replacement*
- * from the same deterministic site list, stratified (by signal class
- * by default), in batches sized by the stats::StratifiedSampler. Each
+ * The sampled planner draws (site, injection-cycle offset, traffic
+ * seed) tuples *with replacement* from the same deterministic site
+ * list the exhaustive sweep runs, stratified (by signal class by
+ * default), in batches sized by the stats::StratifiedSampler. Each
  * draw's coordinates are materialized from a counter-mode RNG stream
  * keyed by the global draw index, and every batch is fully planned
  * before any outcome of that batch is consulted, so the entire run
@@ -35,7 +37,7 @@
 
 namespace nocalert::fault {
 
-/** One planned sampled run. */
+/** One planned run (an exhaustive sweep's runs are draws too). */
 struct SampledDraw
 {
     std::uint64_t drawIndex = 0; ///< Global index == sampleIndex.
@@ -162,8 +164,18 @@ struct SamplingReport
  */
 SamplingReport computeSamplingReport(const CampaignResult &result);
 
-/** The campaign's sampled-mode site population (the deterministic
- *  site list the exhaustive campaign would sweep). */
+/**
+ * The campaign's deterministic site list: every enumerated site (the
+ * register classes dropped when wireSitesOnly), then the maxSites
+ * sample drawn with sampleSeed. The exhaustive sweep runs it and the
+ * sampled planner draws from it, so exhaustive ground truth and
+ * sampled estimates speak about the same finite population.
+ * @p enumerated receives the site count before the sample is drawn.
+ */
+std::vector<FaultSite> sampledPopulation(const CampaignConfig &config,
+                                         std::size_t &enumerated);
+
+/** sampledPopulation without the enumerated count. */
 std::vector<FaultSite> sampledPopulation(const CampaignConfig &config);
 
 } // namespace nocalert::fault

@@ -50,7 +50,7 @@ artifactAtJobs(CampaignConfig config, unsigned jobs)
     FaultCampaign campaign(config);
     const CampaignResult result = campaign.run();
     EXPECT_TRUE(result.complete());
-    EXPECT_TRUE(result.samplerDone);
+    EXPECT_EQ(result.samplerDone, config.sampling.enabled);
     return writeCampaignJson(result);
 }
 
@@ -118,14 +118,17 @@ INSTANTIATE_TEST_SUITE_P(
                           : std::string("Detection");
     });
 
-TEST(SampledDeterminism, CancellationCheckpointResumesToSameArtifact)
+/**
+ * Cancel @p base's campaign mid-run the way SIGINT does, then resume
+ * it: the engine must flush a checkpoint of the committed runs, and
+ * the next invocation must replay it into the uninterrupted artifact.
+ */
+void
+checkCancellationResumes(const CampaignConfig &base)
 {
-    const std::string reference = artifactAtJobs(tinySampled(false), 1);
+    const std::string reference = artifactAtJobs(base, 1);
 
-    // A cancellation token firing mid-campaign is the SIGINT path:
-    // the engine must flush a contiguous-prefix checkpoint and the
-    // next invocation must replay it into the identical artifact.
-    CampaignConfig config = tinySampled(false);
+    CampaignConfig config = base;
     config.checkpointPath = checkpointPath("cancel");
     config.checkpointEvery = 4;
     config.jobs = 2;
@@ -151,6 +154,21 @@ TEST(SampledDeterminism, CancellationCheckpointResumesToSameArtifact)
     EXPECT_TRUE(resumed.complete());
     EXPECT_EQ(writeCampaignJson(resumed), reference);
     std::remove(config.checkpointPath.c_str());
+}
+
+TEST(SampledDeterminism, CancellationCheckpointResumesToSameArtifact)
+{
+    // Both planners share the one campaign loop, so its cancel path
+    // is checked on each: the sampled draws, and an exhaustive sweep
+    // of as many runs (one batch over a 24-site list).
+    for (const bool sampled : {true, false}) {
+        SCOPED_TRACE(sampled ? "sampled" : "exhaustive");
+        CampaignConfig base = tinySampled(false);
+        base.sampling.enabled = sampled;
+        if (!sampled)
+            base.maxSites = 24;
+        checkCancellationResumes(base);
+    }
 }
 
 TEST(SampledDeterminism, AdaptiveStoppingHaltsBeforeBudget)

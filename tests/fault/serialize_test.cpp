@@ -617,5 +617,63 @@ TEST(Sharding, CheckpointFromDifferentCampaignIsFatal)
     std::remove(checkpoint.c_str());
 }
 
+TEST(Sharding, CheckpointRunOffThePlanIsFatal)
+{
+    // Resume replays a checkpointed run only in place of the very draw
+    // the plan puts at its index; any other run is refused.
+    const std::string checkpoint =
+        testing::TempDir() + "nocalert_doctored_checkpoint.json";
+    std::remove(checkpoint.c_str());
+    const auto rewrite = [&](const CampaignResult &doctored) {
+        std::string error;
+        ASSERT_TRUE(saveCampaignResult(doctored, checkpoint, &error))
+            << error;
+    };
+    FaultCampaign::RunOptions two;
+    two.maxNewRuns = 2;
+
+    CampaignConfig shard0 = tinyCampaign();
+    shard0.shardCount = 2;
+    shard0.checkpointPath = checkpoint;
+    CampaignResult doctored = FaultCampaign(shard0).run(nullptr, two);
+    ASSERT_EQ(doctored.runs.size(), 2u);
+
+    // A genuine run of shard 1: its site is the site list's at its
+    // index, but shard 0 never plans index 1.
+    CampaignConfig shard1 = shard0;
+    shard1.shardIndex = 1;
+    shard1.checkpointPath.clear();
+    FaultCampaign::RunOptions one;
+    one.maxNewRuns = 1;
+    const FaultRunResult foreign =
+        FaultCampaign(shard1).run(nullptr, one).runs.at(0);
+    ASSERT_EQ(foreign.sampleIndex, 1u);
+    doctored.runs.insert(doctored.runs.begin() + 1, foreign);
+    rewrite(doctored);
+    EXPECT_DEATH(FaultCampaign(shard0).run(), "never plans");
+
+    // A wrong site at an index shard 0 does own.
+    doctored.runs.erase(doctored.runs.begin() + 1);
+    doctored.runs[1].site = foreign.site;
+    rewrite(doctored);
+    EXPECT_DEATH(FaultCampaign(shard0).run(), "does not match");
+
+    // A sampled run whose traffic-seed tag differs from its draw.
+    CampaignConfig sampled = tinyCampaign();
+    sampled.checkpointPath = checkpoint;
+    sampled.sampling.enabled = true;
+    sampled.sampling.ciHalfWidth = 0.0;
+    sampled.sampling.maxRuns = 8;
+    sampled.sampling.batchSize = 4;
+    sampled.sampling.seedCount = 2;
+    std::remove(checkpoint.c_str());
+    doctored = FaultCampaign(sampled).run(nullptr, two);
+    ASSERT_EQ(doctored.runs.size(), 2u);
+    doctored.runs[1].seedIndex ^= 1;
+    rewrite(doctored);
+    EXPECT_DEATH(FaultCampaign(sampled).run(), "does not match");
+    std::remove(checkpoint.c_str());
+}
+
 } // namespace
 } // namespace nocalert::fault

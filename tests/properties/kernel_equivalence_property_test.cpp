@@ -46,8 +46,12 @@ struct KernelCase
     /** Enable the extended (group-9) output-table checks. */
     bool extended = false;
     /** Which of the stratified sample's sites to arm (one per signal
-     *  class in catalog order: 0 = WriteEnable, 3 = Sa1Grant, ...). */
-    unsigned siteIndex = 0;
+     *  class in catalog order: 0 = WriteEnable, 3 = Sa1Grant, ...).
+     *  One byte, like signal below, so both sit in the struct's tail
+     *  padding: gtest prints sizeof(KernelCase) into each case's name. */
+    std::uint8_t siteIndex = 0;
+    /** The signal class siteIndex names; the armed site must be one. */
+    fault::SignalClass signal = fault::SignalClass::WriteEnable;
 };
 
 std::string
@@ -80,6 +84,7 @@ struct RunObservables
     std::vector<core::Assertion> alerts;
     std::vector<forever::ForeverAlert> foreverAlerts;
     std::uint64_t routerEvals = 0;
+    fault::FaultSite armed; ///< The injected site (when c.inject).
 
     // Recovery-stack observables (zero without recovery).
     std::uint64_t retransmits = 0;
@@ -139,12 +144,14 @@ simulate(const KernelCase &c, KernelMode mode)
             orch->onCycleEnd(n.cycle());
     });
 
+    RunObservables obs;
     fault::FaultInjector injector;
     if (c.inject) {
         const auto sites = fault::FaultSiteCatalog::sampleNetwork(
-            config, std::max(8u, c.siteIndex + 1), c.siteSeed);
+            config, std::max(8u, c.siteIndex + 1u), c.siteSeed);
+        obs.armed = sites.at(c.siteIndex);
         fault::FaultSpec spec;
-        spec.site = sites.at(c.siteIndex);
+        spec.site = obs.armed;
         spec.cycle = c.onset;
         spec.kind = c.kind;
         injector.arm(spec);
@@ -155,7 +162,6 @@ simulate(const KernelCase &c, KernelMode mode)
     net.drain(c.recovery ? 8000 : 6000);
     net.run(fc.epochLength + 2); // ForEVeR's epoch horizon
 
-    RunObservables obs;
     obs.ejections = net.collectEjections();
     obs.stats = net.stats();
     obs.alerts = engine.log().alerts();
@@ -235,9 +241,16 @@ TEST_P(KernelEquivalence, FastKernelsBitIdenticalToDense)
 
     expectSameObservables(dense, bitmask, "bitmask");
 
-    // The grant-fault cases exist to trip the allocation comparator;
-    // make sure they still do.
-    if (c.siteIndex != 0) {
+    if (c.inject) {
+        EXPECT_EQ(dense.armed.signal, c.signal) << dense.armed.describe();
+    }
+
+    // A grant fault trips the allocation comparator; make sure the
+    // grant-fault cases still do.
+    const fault::SignalClass armed = dense.armed.signal;
+    if (armed == fault::SignalClass::Sa1Grant ||
+        armed == fault::SignalClass::Sa2Grant ||
+        armed == fault::SignalClass::Va2Grant) {
         EXPECT_TRUE(std::any_of(
             dense.foreverAlerts.begin(), dense.foreverAlerts.end(),
             [](const forever::ForeverAlert &alert) {
@@ -295,13 +308,32 @@ INSTANTIATE_TEST_SUITE_P(
         // allocation comparator, which on the bitmask kernel sees only
         // branchy-path routers.
         KernelCase{4, 4, 0.08, 62, true, 300, 63, false,
-                   fault::FaultKind::Permanent, false, 3},
+                   fault::FaultKind::Permanent, false, 3,
+                   fault::SignalClass::Sa1Grant},
         KernelCase{4, 4, 0.08, 66, true, 300, 67, false,
-                   fault::FaultKind::Permanent, false, 5},
+                   fault::FaultKind::Permanent, false, 5,
+                   fault::SignalClass::Sa2Grant},
         KernelCase{4, 4, 0.08, 68, true, 300, 69, false,
-                   fault::FaultKind::Transient, false, 8},
+                   fault::FaultKind::Transient, false, 8,
+                   fault::SignalClass::Va2Grant},
         KernelCase{4, 4, 0.08, 70, true, 300, 71, false,
-                   fault::FaultKind::Permanent, false, 8}),
+                   fault::FaultKind::Permanent, false, 8,
+                   fault::SignalClass::Va2Grant},
+        // Architectural-register faults, applied at CycleStart rather
+        // than at a wire tap: VC state, credit counter and schedule
+        // valid bit.
+        KernelCase{4, 4, 0.08, 72, true, 300, 73, false,
+                   fault::FaultKind::Transient, false, 12,
+                   fault::SignalClass::StVcState},
+        KernelCase{4, 4, 0.08, 74, true, 300, 75, false,
+                   fault::FaultKind::Permanent, false, 12,
+                   fault::SignalClass::StVcState},
+        KernelCase{4, 4, 0.08, 76, true, 300, 77, false,
+                   fault::FaultKind::Permanent, false, 16,
+                   fault::SignalClass::StCredits},
+        KernelCase{4, 4, 0.08, 78, true, 300, 79, false,
+                   fault::FaultKind::Transient, false, 20,
+                   fault::SignalClass::StSchedValid}),
     caseName);
 
 TEST(KernelEquivalence, CheckerShortcutMatchesUngatedBank)
